@@ -1,7 +1,7 @@
 # Convenience targets mirroring the commands CI (and the tier-1 verify in
 # ROADMAP.md) runs. Everything is stdlib-only Go; no other tooling needed.
 
-.PHONY: build test ci fmt-check serve-smoke bench bench-smoke fuzz-smoke qor-smoke train-smoke profile
+.PHONY: build test ci fmt-check serve-smoke bench bench-smoke bench-module fuzz-smoke qor-smoke train-smoke profile
 
 # Tier-1 verify (ROADMAP.md).
 test:
@@ -13,10 +13,10 @@ test:
 # benchmark so bench-only code (bench harnesses, solver warm-start paths)
 # cannot bit-rot unnoticed, a short run of every native fuzz target over
 # its seed corpus, a golden-QoR smoke on the smallest registered device,
-# an end-to-end smoke of the placement service, and the cost-model training
-# determinism gate.
+# an end-to-end smoke of the placement service, the cost-model training
+# determinism gate, and the benchmark module gate.
 ci:
-	$(MAKE) fmt-check && go vet ./... && go test -race ./... && $(MAKE) bench-smoke && $(MAKE) fuzz-smoke && $(MAKE) qor-smoke && $(MAKE) serve-smoke && $(MAKE) train-smoke
+	$(MAKE) fmt-check && go vet ./... && go test -race ./... && $(MAKE) bench-smoke && $(MAKE) fuzz-smoke && $(MAKE) qor-smoke && $(MAKE) serve-smoke && $(MAKE) train-smoke && $(MAKE) bench-module
 
 # Fail if any file is not gofmt-clean (gofmt -l prints offenders).
 fmt-check:
@@ -69,6 +69,15 @@ build:
 # allocation counts. Fast; used as a CI gate.
 bench-smoke:
 	go test -run '^$$' -bench . -benchmem -benchtime=1x ./...
+
+# Benchmark module gate. benchmark/ is a Go module of its own, so the root
+# module's build and tests never compile it, yet its traced runner calls
+# internal packages (features, placer, detailed, sta, assign, server)
+# directly. Vet and test it, then run one op of every workload through both
+# of its programs (benchmark/run.sh --smoke; build output in .bench_build).
+bench-module:
+	cd benchmark && go vet ./... && go test ./...
+	bash benchmark/run.sh --smoke
 
 # Hot-path micro-benchmarks with allocation counts (real measurements;
 # compare against BENCH_*.json).

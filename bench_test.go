@@ -17,7 +17,6 @@ import (
 	"dsplacer/internal/experiments"
 	"dsplacer/internal/features"
 	"dsplacer/internal/fpga"
-	"dsplacer/internal/gcn"
 	"dsplacer/internal/gen"
 	"dsplacer/internal/netlist"
 	"dsplacer/internal/placer"
@@ -312,57 +311,21 @@ func BenchmarkAblationLegalization(b *testing.B) {
 	}
 }
 
-// BenchmarkFeatures measures the three feature-extraction backends on a
-// generated workload above the exact/sampled auto-switch threshold (~7.5k
-// cells, ZCU104-class DSP count). Each arm reports ns/op for the full
-// extraction plus an `agreement` metric: the fraction of DSPs on which a
-// GCN trained on that arm's features issues the same datapath verdict as
-// the exact-feature GCN (models trained outside the timer, identical
-// hyperparameters and seeds).
+// BenchmarkFeatures measures feature extraction (the spectral estimator of
+// internal/gsp) on a generated ZCU104-class workload of ~7.5k cells.
 func BenchmarkFeatures(b *testing.B) {
 	spec := gen.Spec{Name: "feat-bench", LUT: 4000, LUTRAM: 300, FF: 3000,
 		BRAM: 60, DSP: 160, FreqMHz: 200, Seed: 11}
-	dev := fpga.NewZCU104()
-	nl, err := gen.Generate(spec, dev)
+	nl, err := gen.Generate(spec, fpga.NewZCU104())
 	if err != nil {
 		b.Fatal(err)
 	}
-	featCfg := func(m features.Mode) features.Config {
-		return features.Config{Mode: m, Seed: 5}
-	}
-	train := func(m features.Mode) (*gcn.Model, []int) {
-		sample, err := core.BuildSample(nl, featCfg(m))
-		if err != nil {
+	cfg := features.Config{Seed: 5}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := features.ExtractContext(context.Background(), nl, cfg); err != nil {
 			b.Fatal(err)
 		}
-		gcfg := gcn.Defaults(features.NumFeatures)
-		gcfg.Epochs = 30
-		model, _ := gcn.Train(gcfg, []*gcn.Sample{sample}, nil)
-		classes, _ := model.Predict(sample)
-		return model, classes
-	}
-	_, refClasses := train(features.ModeExact)
-
-	for _, mode := range []features.Mode{features.ModeExact, features.ModeSampled, features.ModeGSP} {
-		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			cfg := featCfg(mode)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := features.ExtractContext(context.Background(), nl, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			_, classes := train(mode)
-			agree := 0
-			for i := range classes {
-				if classes[i] == refClasses[i] {
-					agree++
-				}
-			}
-			b.ReportMetric(float64(agree)/float64(len(classes)), "agreement")
-		})
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"dsplacer/internal/features"
 	"dsplacer/internal/fpga"
 	"dsplacer/internal/gcn"
-	"dsplacer/internal/gsp"
 	"dsplacer/internal/netlist"
 	"dsplacer/internal/placer"
 	"dsplacer/internal/route"
@@ -45,8 +44,6 @@ func main() {
 	rounds := flag.Int("rounds", 2, "incremental placement rounds (Fig. 6)")
 	modelPath := flag.String("model", "", "trained GCN model (cmd/train) for datapath identification; default: generator ground truth")
 	costModelPath := flag.String("cost-model", "", "trained placement-cost model (cmd/train -cost) arming MCF early stop and candidate pruning; default: off")
-	distilledPath := flag.String("distilled", "", "distilled spectral student (cmd/train -distill) for O(edges) datapath identification")
-	featMode := flag.String("features", "auto", "centrality backend for identification features: auto, exact, sampled or gsp")
 	svgPath := flag.String("svg", "", "write an SVG layout to this path")
 	ascii := flag.Bool("ascii", false, "print an ASCII layout")
 	congestion := flag.Bool("congestion", false, "print a routing congestion heatmap")
@@ -79,26 +76,12 @@ func main() {
 		MCFIterations: *mcfIters, Rounds: *rounds, Seed: common.Seed,
 		Validate: common.Validate(),
 	}
-	mode, err := features.ParseMode(*featMode)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	fcfg := features.Config{Mode: mode, Seed: common.Seed + 13}
-	switch {
-	case *modelPath != "" && *distilledPath != "":
-		cli.Fatal(fmt.Errorf("-model and -distilled are mutually exclusive"))
-	case *modelPath != "":
+	if *modelPath != "" {
 		model, err := gcn.LoadFile(*modelPath)
 		if err != nil {
 			cli.Fatal(err)
 		}
-		cfg.Identifier = &core.GCNIdentifier{Model: model, FeatureCfg: fcfg}
-	case *distilledPath != "":
-		student, err := gsp.LoadDistilled(*distilledPath)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		cfg.Identifier = &core.DistilledIdentifier{Model: student, FeatureCfg: fcfg}
+		cfg.Identifier = &core.GCNIdentifier{Model: model, FeatureCfg: features.Config{Seed: common.Seed + 13}}
 	}
 	if *costModelPath != "" {
 		cm, err := costmodel.LoadFile(*costModelPath)

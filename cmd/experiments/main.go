@@ -8,7 +8,6 @@
 //	experiments -fig8              # Fig 8     runtime breakdown
 //	experiments -fig9 -out DIR     # Fig 9     layout visualizations (+SVG)
 //	experiments -ablations         # λ / MCF-iteration / filtering sweeps
-//	experiments -agreement -mini   # exact-vs-GSP feature backend agreement
 //	experiments -matrix            # device × family QoR matrix
 //	experiments -cost-compare cost.json   # Table II model-off vs model-on
 //	experiments -matrix -devices pynq-z2,zcu104   # subset of the device axis
@@ -31,7 +30,6 @@ import (
 	"dsplacer/internal/cli"
 	"dsplacer/internal/costmodel"
 	"dsplacer/internal/experiments"
-	"dsplacer/internal/features"
 	"dsplacer/internal/gen"
 	"dsplacer/internal/placer"
 )
@@ -44,7 +42,6 @@ func main() {
 	fig8 := flag.Bool("fig8", false, "regenerate Fig 8")
 	fig9 := flag.Bool("fig9", false, "regenerate Fig 9")
 	ablations := flag.Bool("ablations", false, "run the design-choice ablations")
-	agreement := flag.Bool("agreement", false, "run the exact-vs-GSP feature-backend agreement study")
 	extension := flag.Bool("extension", false, "run the R-SAD systolic-vs-diverse extension study")
 	matrix := flag.Bool("matrix", false, "run the device × family QoR matrix")
 	costCompare := flag.String("cost-compare", "", "run the Table II suite model-off vs model-on with this placement-cost model (cmd/train -cost)")
@@ -56,16 +53,15 @@ func main() {
 	mcfIters := flag.Int("mcf-iters", 50, "MCF iterations (paper: 50)")
 	rounds := flag.Int("rounds", 2, "incremental rounds")
 	gpEngine := flag.String("gp", "electrostatic", "global-placement engine: electrostatic or quadratic")
-	featMode := flag.String("features", "auto", "centrality backend for Fig 7 feature extraction: auto, exact, sampled or gsp")
 	common := cli.RegisterCommon(flag.CommandLine, 1, "off")
 	flag.Parse()
 	stop := common.Start()
 	defer stop()
 
 	if *all {
-		*table1, *table2, *fig7a, *fig7b, *fig8, *fig9, *ablations, *extension, *agreement, *matrix = true, true, true, true, true, true, true, true, true, true
+		*table1, *table2, *fig7a, *fig7b, *fig8, *fig9, *ablations, *extension, *matrix = true, true, true, true, true, true, true, true, true
 	}
-	if !(*table1 || *table2 || *fig7a || *fig7b || *fig8 || *fig9 || *ablations || *extension || *agreement || *matrix || *costCompare != "") {
+	if !(*table1 || *table2 || *fig7a || *fig7b || *fig8 || *fig9 || *ablations || *extension || *matrix || *costCompare != "") {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -89,11 +85,7 @@ func main() {
 		MCFIterations: *mcfIters, Rounds: *rounds, Lambda: 100, Seed: common.Seed,
 		Validate: common.Validate(), GP: gp,
 	}
-	fmode, err := features.ParseMode(*featMode)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	f7 := experiments.Fig7Config{Epochs: *epochs, Seed: common.Seed, FeatureMode: fmode}
+	f7 := experiments.Fig7Config{Epochs: *epochs, Seed: common.Seed}
 	w := os.Stdout
 
 	if *table1 {
@@ -127,11 +119,6 @@ func main() {
 	if *extension {
 		section(w, "Extension: R-SAD")
 		check(suite.ExtensionRSAD(w, specs[1], cfg))
-	}
-	if *agreement {
-		section(w, "Feature agreement")
-		_, err := suite.FeatureAgreement(w, f7)
-		check(err)
 	}
 	if *matrix {
 		section(w, "QoR matrix")

@@ -6,7 +6,6 @@
 //
 //	train -out model.json design1.json design2.json ...
 //	train -mini -out model.json           # train on built-in mini suite
-//	train -mini -features gsp -distill student.json   # + spectral student
 //	train -eval design.json -model model.json
 //	train -cost -out cost.json            # placement-cost model (device × family corpus)
 //	train -cost-smoke                     # deterministic-artifact CI gate
@@ -23,7 +22,6 @@ import (
 	"dsplacer/internal/experiments"
 	"dsplacer/internal/features"
 	"dsplacer/internal/gcn"
-	"dsplacer/internal/gsp"
 	"dsplacer/internal/netlist"
 )
 
@@ -31,9 +29,6 @@ func main() {
 	out := flag.String("out", "model.json", "path for the trained model")
 	mini := flag.Bool("mini", false, "train on the built-in mini benchmark suite")
 	epochs := flag.Int("epochs", 120, "training epochs")
-	pivots := flag.Int("pivots", 96, "centrality sampling pivots")
-	featMode := flag.String("features", "auto", "centrality backend: auto, exact, sampled or gsp")
-	distillOut := flag.String("distill", "", "also distill an O(edges) spectral student to this path")
 	evalPath := flag.String("eval", "", "evaluate -model on this netlist instead of training")
 	modelPath := flag.String("model", "", "model to evaluate (with -eval)")
 	cost := flag.Bool("cost", false, "train the placement-cost model instead of the GCN (writes to -out)")
@@ -60,11 +55,7 @@ func main() {
 		return
 	}
 
-	mode, err := features.ParseMode(*featMode)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	fcfg := features.Config{Mode: mode, Pivots: *pivots, Seed: common.Seed + 13}
+	fcfg := features.Config{Seed: common.Seed + 13}
 
 	if *evalPath != "" {
 		if *modelPath == "" {
@@ -131,20 +122,4 @@ func main() {
 		cli.Fatal(err)
 	}
 	fmt.Printf("model saved to %s\n", *out)
-
-	if *distillOut != "" {
-		student, err := gsp.Distill(model, samples, gsp.DistillOptions{})
-		if err != nil {
-			cli.Fatal(err)
-		}
-		agree := 0.0
-		for _, s := range samples {
-			agree += student.Agreement(model, s)
-		}
-		if err := student.SaveFile(*distillOut); err != nil {
-			cli.Fatal(err)
-		}
-		fmt.Printf("distilled student saved to %s (teacher agreement %.1f%%)\n",
-			*distillOut, agree/float64(len(samples))*100)
-	}
 }

@@ -35,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fcfg := features.Config{Pivots: 96, Seed: 9}
+	fcfg := features.Config{Seed: 9}
 	var train []*gcn.Sample
 	for _, spec := range suite.Specs[1:] {
 		tnl, err := suite.Netlist(spec)

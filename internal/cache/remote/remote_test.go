@@ -10,9 +10,10 @@ import (
 	"dsplacer/internal/cache"
 )
 
-func startPair(t *testing.T) (*Listener, *Client) {
+// startPair serves an LRU of the given capacity and dials one client to it.
+func startPair(t *testing.T, capacity int) (*Listener, *Client) {
 	t.Helper()
-	l, err := Listen("127.0.0.1:0", cache.NewLRU(64))
+	l, err := Listen("127.0.0.1:0", cache.NewLRU(capacity))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func startPair(t *testing.T) (*Listener, *Client) {
 }
 
 func TestClientServerRoundTrip(t *testing.T) {
-	_, c := startPair(t)
+	_, c := startPair(t, 64)
 	k := cache.KeyOf([]byte("netlist"), []byte("zcu104"), []byte("params"))
 	if _, ok := c.Get(k); ok {
 		t.Fatal("hit on empty remote store")
@@ -44,7 +45,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 }
 
 func TestEmptyValueAndOverwrite(t *testing.T) {
-	_, c := startPair(t)
+	_, c := startPair(t, 64)
 	k := cache.KeyOf([]byte("k"))
 	c.Put(k, nil) // zero-length values are legal frames
 	if v, ok := c.Get(k); !ok || len(v) != 0 {
@@ -59,11 +60,15 @@ func TestEmptyValueAndOverwrite(t *testing.T) {
 // TestConcurrentClients: many goroutines sharing one client plus a second
 // client must serialize cleanly over their connections.
 func TestConcurrentClients(t *testing.T) {
-	l, c1 := startPair(t)
+	const workers, keys = 8, 50
+	// Each worker reads back its own Put while the others keep writing, so
+	// the store holds every key: with less room, a key could be evicted
+	// between its Put and its Get.
+	l, c1 := startPair(t, workers*keys)
 	c2 := Dial(l.Addr().String(), 2*time.Second)
 	defer c2.Close()
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -71,7 +76,7 @@ func TestConcurrentClients(t *testing.T) {
 			if w%2 == 1 {
 				c = c2
 			}
-			for i := 0; i < 50; i++ {
+			for i := 0; i < keys; i++ {
 				k := cache.KeyOf([]byte(fmt.Sprintf("key-%d-%d", w, i)))
 				c.Put(k, []byte{byte(w), byte(i)})
 				if v, ok := c.Get(k); !ok || v[0] != byte(w) || v[1] != byte(i) {

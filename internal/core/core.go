@@ -19,7 +19,6 @@ import (
 	"dsplacer/internal/fpga"
 	"dsplacer/internal/gcn"
 	"dsplacer/internal/geom"
-	"dsplacer/internal/gsp"
 	"dsplacer/internal/legalize"
 	"dsplacer/internal/metrics"
 	"dsplacer/internal/netlist"
@@ -75,15 +74,6 @@ func (g *GCNIdentifier) WithStages(rec *stage.Recorder) Identifier {
 	return &c
 }
 
-// WithFeatureMode returns a copy whose feature extraction uses the given
-// centrality backend, so a per-request mode (Config.FeatureMode) overrides
-// the identifier's default without mutating the shared identifier.
-func (g *GCNIdentifier) WithFeatureMode(m features.Mode) Identifier {
-	c := *g
-	c.FeatureCfg.Mode = m
-	return &c
-}
-
 // Identify implements Identifier.
 func (g *GCNIdentifier) Identify(ctx context.Context, nl *netlist.Netlist) ([]int, error) {
 	if g.Model == nil {
@@ -94,51 +84,6 @@ func (g *GCNIdentifier) Identify(ctx context.Context, nl *netlist.Netlist) ([]in
 		return nil, err
 	}
 	classes, _ := g.Model.Predict(sample)
-	var out []int
-	for i, c := range sample.Mask {
-		if classes[i] == 1 {
-			out = append(out, c)
-		}
-	}
-	return out, nil
-}
-
-// DistilledIdentifier classifies DSPs with a spectral student distilled from
-// a GCN (gsp.Distill): inference is O(edges), and pairing it with
-// features.ModeGSP makes the whole extraction stage spectral.
-type DistilledIdentifier struct {
-	Model      *gsp.Distilled
-	FeatureCfg features.Config
-}
-
-// Name implements Identifier.
-func (d *DistilledIdentifier) Name() string { return "distilled" }
-
-// WithStages returns a copy whose feature extraction records into rec.
-func (d *DistilledIdentifier) WithStages(rec *stage.Recorder) Identifier {
-	c := *d
-	c.FeatureCfg.Stages = rec
-	return &c
-}
-
-// WithFeatureMode returns a copy whose feature extraction uses the given
-// centrality backend; see GCNIdentifier.WithFeatureMode.
-func (d *DistilledIdentifier) WithFeatureMode(m features.Mode) Identifier {
-	c := *d
-	c.FeatureCfg.Mode = m
-	return &c
-}
-
-// Identify implements Identifier.
-func (d *DistilledIdentifier) Identify(ctx context.Context, nl *netlist.Netlist) ([]int, error) {
-	if d.Model == nil {
-		return nil, fmt.Errorf("core: DistilledIdentifier has no model")
-	}
-	sample, err := BuildSampleContext(ctx, nl, d.FeatureCfg)
-	if err != nil {
-		return nil, err
-	}
-	classes, _ := d.Model.Predict(sample)
 	var out []int
 	for i, c := range sample.Mask {
 		if classes[i] == 1 {
@@ -190,13 +135,6 @@ type Config struct {
 	Rounds int
 	// Identifier defaults to the oracle.
 	Identifier Identifier
-	// FeatureMode overrides the centrality backend of feature-extracting
-	// identifiers (exact/sampled/gsp; features.ModeAuto leaves the
-	// identifier's own configuration untouched). The service threads the
-	// request's `features` field through here, and the mode is part of the
-	// result-cache key — the backends are approximations of each other, so
-	// their results must never be served interchangeably.
-	FeatureMode features.Mode
 	// Seed drives every stochastic component.
 	Seed int64
 	// TimingDriven enables one criticality-reweighting pass (applied
@@ -353,15 +291,6 @@ func Run(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Config)
 	}
 	t1 := time.Now()
 	ident := cfg.Identifier
-	if cfg.FeatureMode != features.ModeAuto {
-		// Per-request mode selection (the service's `features` field):
-		// identifiers that extract features get a mode-scoped copy.
-		if fm, ok := ident.(interface {
-			WithFeatureMode(features.Mode) Identifier
-		}); ok {
-			ident = fm.WithFeatureMode(cfg.FeatureMode)
-		}
-	}
 	if cfg.Stages != nil {
 		// Per-job recorders (dsplacerd) must also capture the identifier's
 		// extraction timers (features.centrality, gsp.filter, ...), so

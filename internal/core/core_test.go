@@ -9,7 +9,6 @@ import (
 	"dsplacer/internal/fpga"
 	"dsplacer/internal/gcn"
 	"dsplacer/internal/gen"
-	"dsplacer/internal/gsp"
 	"dsplacer/internal/netlist"
 	"dsplacer/internal/placer"
 	"dsplacer/internal/stage"
@@ -195,61 +194,12 @@ func TestRunRSADFlow(t *testing.T) {
 	}
 }
 
-func TestDistilledIdentifierEndToEnd(t *testing.T) {
-	dev := fpga.NewZCU104()
-	nl, err := gen.Generate(gen.Small(), dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fcfg := features.Config{Mode: features.ModeGSP, Seed: 5}
-	sample, err := BuildSample(nl, fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := gcn.Defaults(features.NumFeatures)
-	cfg.Epochs = 60
-	teacher, _ := gcn.Train(cfg, []*gcn.Sample{sample}, sample)
-	student, err := gsp.Distill(teacher, []*gcn.Sample{sample}, gsp.DistillOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := &DistilledIdentifier{Model: student, FeatureCfg: fcfg}
-	got, err := id.Identify(context.Background(), nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	teacherIDs, err := (&GCNIdentifier{Model: teacher, FeatureCfg: fcfg}).Identify(context.Background(), nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The student must track the teacher: ≥80% of the DSP verdicts agree.
-	tset := map[int]bool{}
-	for _, c := range teacherIDs {
-		tset[c] = true
-	}
-	agree := 0
-	for _, c := range got {
-		if tset[c] {
-			agree++
-		}
-	}
-	if len(got) == 0 || float64(agree)/float64(len(got)) < 0.8 {
-		t.Fatalf("student/teacher agreement %d/%d too low", agree, len(got))
-	}
-	if id.Name() != "distilled" {
-		t.Fatalf("name %q", id.Name())
-	}
-	if _, err := (&DistilledIdentifier{}).Identify(context.Background(), nl); err == nil {
-		t.Fatal("nil student model accepted")
-	}
-}
-
 // Canceling during feature extraction must surface as ErrCanceled from Run,
 // tagged with the identify stage — the PR 4 cancellation contract extended
 // through the Identifier interface.
 func TestRunCanceledDuringIdentify(t *testing.T) {
 	dev, nl := miniSetup(t)
-	fcfg := features.Config{Mode: features.ModeGSP, Seed: 1}
+	fcfg := features.Config{Seed: 1}
 	sample, err := BuildSample(nl, fcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -300,11 +250,6 @@ func TestIdentifierWithStagesIsolation(t *testing.T) {
 	if got.(*GCNIdentifier).FeatureCfg.Stages != rec {
 		t.Fatal("copy lacks the recorder")
 	}
-	d := &DistilledIdentifier{FeatureCfg: features.Config{Seed: 3}}
-	got2 := d.WithStages(rec)
-	if d.FeatureCfg.Stages != nil || got2.(*DistilledIdentifier).FeatureCfg.Stages != rec {
-		t.Fatal("DistilledIdentifier WithStages broken")
-	}
 }
 
 // stagedOracleIdentifier extracts features (exercising the extraction
@@ -327,70 +272,6 @@ func (s *stagedOracleIdentifier) Identify(ctx context.Context, nl *netlist.Netli
 	return OracleIdentifier{}.Identify(ctx, nl)
 }
 
-// WithFeatureMode must return a mode-scoped copy, leaving the shared
-// identifier's default backend untouched.
-func TestIdentifierWithFeatureModeIsolation(t *testing.T) {
-	g := &GCNIdentifier{FeatureCfg: features.Config{Mode: features.ModeExact}}
-	got := g.WithFeatureMode(features.ModeGSP)
-	if g.FeatureCfg.Mode != features.ModeExact {
-		t.Fatal("WithFeatureMode mutated the original GCNIdentifier")
-	}
-	if got.(*GCNIdentifier).FeatureCfg.Mode != features.ModeGSP {
-		t.Fatal("copy lacks the requested mode")
-	}
-	d := &DistilledIdentifier{FeatureCfg: features.Config{Mode: features.ModeExact}}
-	got2 := d.WithFeatureMode(features.ModeSampled)
-	if d.FeatureCfg.Mode != features.ModeExact ||
-		got2.(*DistilledIdentifier).FeatureCfg.Mode != features.ModeSampled {
-		t.Fatal("DistilledIdentifier WithFeatureMode broken")
-	}
-}
-
-// modeProbeIdentifier records the mode it ran under so tests can observe
-// whether Run applied Config.FeatureMode.
-type modeProbeIdentifier struct {
-	fcfg features.Config
-	ran  *features.Mode
-}
-
-func (p *modeProbeIdentifier) Name() string { return "mode-probe" }
-
-func (p *modeProbeIdentifier) WithFeatureMode(m features.Mode) Identifier {
-	c := *p
-	c.fcfg.Mode = m
-	return &c
-}
-
-func (p *modeProbeIdentifier) Identify(ctx context.Context, nl *netlist.Netlist) ([]int, error) {
-	*p.ran = p.fcfg.Mode
-	return OracleIdentifier{}.Identify(ctx, nl)
-}
-
-// Run must thread Config.FeatureMode into identifiers that support it, and
-// ModeAuto must leave the identifier's own default alone.
-func TestRunAppliesFeatureMode(t *testing.T) {
-	dev, nl := miniSetup(t)
-	var ran features.Mode
-	base := Config{ClockMHz: 150, MCFIterations: 2, Rounds: 1,
-		Identifier: &modeProbeIdentifier{fcfg: features.Config{Mode: features.ModeExact}, ran: &ran}}
-
-	cfg := base
-	cfg.FeatureMode = features.ModeGSP
-	if _, err := Run(context.Background(), dev, nl, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if ran != features.ModeGSP {
-		t.Fatalf("identifier ran with mode %v, want ModeGSP", ran)
-	}
-
-	if _, err := Run(context.Background(), dev, nl, base); err != nil {
-		t.Fatal(err)
-	}
-	if ran != features.ModeExact {
-		t.Fatalf("ModeAuto overrode the identifier default: ran %v", ran)
-	}
-}
-
 // The features.centrality and gsp.filter timers must land in the run's own
 // recorder when the flow uses a feature-extracting identifier: Run hands
 // cfg.Stages to identifiers that support WithStages.
@@ -399,7 +280,7 @@ func TestRunRecordsCentralityStage(t *testing.T) {
 	rec := stage.NewRecorder()
 	_, err := Run(context.Background(), dev, nl, Config{
 		ClockMHz: 150, MCFIterations: 2, Rounds: 1,
-		Identifier: &stagedOracleIdentifier{fcfg: features.Config{Mode: features.ModeGSP, Seed: 2}},
+		Identifier: &stagedOracleIdentifier{fcfg: features.Config{Seed: 2}},
 		Stages:     rec,
 	})
 	if err != nil {

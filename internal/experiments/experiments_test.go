@@ -212,33 +212,3 @@ func TestExtensionRSAD(t *testing.T) {
 		t.Fatalf("missing sections:\n%s", out)
 	}
 }
-
-// The GSP feature backend must preserve the classification: a GCN trained on
-// spectral surrogates agrees with the exact-feature GCN on ≥95% of DSPs
-// (measured 100% on the mini suite), and the distilled O(edges) student
-// tracks its teacher just as closely.
-func TestFeatureAgreement(t *testing.T) {
-	s := miniSuite()
-	var buf bytes.Buffer
-	rows, err := s.FeatureAgreement(&buf, Fig7Config{Epochs: 25, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(s.Specs) {
-		t.Fatalf("rows=%d", len(rows))
-	}
-	for _, r := range rows {
-		if r.DSPs == 0 {
-			t.Fatalf("%s has no DSPs", r.Benchmark)
-		}
-		if r.GCNAgree < 0.95 {
-			t.Fatalf("%s exact-vs-GSP GCN agreement %.3f < 0.95", r.Benchmark, r.GCNAgree)
-		}
-		if r.DistillAgree < 0.95 {
-			t.Fatalf("%s distilled-student agreement %.3f < 0.95", r.Benchmark, r.DistillAgree)
-		}
-	}
-	if !strings.Contains(buf.String(), "Average") {
-		t.Fatal("missing average row")
-	}
-}

@@ -17,26 +17,18 @@ type Fig7Config struct {
 	// pure-Go full-size run is minutes per fold — pass Epochs explicitly to
 	// reproduce the full curve).
 	Epochs int
-	// FeaturePivots controls sampled-centrality cost on big graphs.
-	FeaturePivots int
-	// FeatureMode selects the centrality backend (auto/exact/sampled/gsp)
-	// for every sample the study extracts.
-	FeatureMode features.Mode
-	Seed        int64
+	Seed   int64
 }
 
 func (c Fig7Config) withDefaults() Fig7Config {
 	if c.Epochs == 0 {
 		c.Epochs = 40
 	}
-	if c.FeaturePivots == 0 {
-		c.FeaturePivots = 96
-	}
 	return c
 }
 
 func (c Fig7Config) featureCfg() features.Config {
-	return features.Config{Mode: c.FeatureMode, Pivots: c.FeaturePivots, Seed: c.Seed + 13}
+	return features.Config{Seed: c.Seed + 13}
 }
 
 // buildSamples extracts GCN samples for every benchmark.

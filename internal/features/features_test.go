@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
 
@@ -60,47 +59,10 @@ func TestDegreesAndFeedback(t *testing.T) {
 	}
 }
 
-func TestCentralitiesExactSmall(t *testing.T) {
-	nl := chainWithLoop()
-	s := Extract(nl, Config{})
-	// The undirected graph is: ps-lut, lut-d0, d0-d1, d1-ff, ff-io, ff-lut.
-	// Closeness of d0: distances — lut 1, d1 1, ps 2, ff 2, io 3 → sum 9.
-	d0 := 2
-	if got := s.X.At(d0, Closeness); math.Abs(got-1.0/9.0) > 1e-9 {
-		t.Fatalf("closeness(d0)=%v want 1/9", got)
-	}
-	// Eccentricity of d0 = 3 (to io).
-	if got := s.X.At(d0, Eccentricity); got != 3 {
-		t.Fatalf("ecc(d0)=%v", got)
-	}
-	// Betweenness must be strictly positive for interior nodes, 0 for leaves.
-	if got := s.X.At(0, Betweenness); got != 0 {
-		t.Fatalf("betweenness(ps)=%v", got)
-	}
-	if got := s.X.At(1, Betweenness); got <= 0 {
-		t.Fatalf("betweenness(lut)=%v", got)
-	}
-}
-
-func TestAvgDSPDist(t *testing.T) {
-	nl := chainWithLoop()
-	s := Extract(nl, Config{})
-	// Only two DSPs, adjacent: each has avg distance 1 to the other.
-	if got := s.X.At(2, AvgDSPDist); got != 1 {
-		t.Fatalf("avgDSPdist(d0)=%v", got)
-	}
-	if got := s.X.At(3, AvgDSPDist); got != 1 {
-		t.Fatalf("avgDSPdist(d1)=%v", got)
-	}
-	// Non-DSP nodes stay 0.
-	if got := s.X.At(1, AvgDSPDist); got != 0 {
-		t.Fatalf("avgDSPdist(lut)=%v", got)
-	}
-}
-
 func TestSampledMatchesExactRanking(t *testing.T) {
-	// Build a medium star-of-chains graph and check that sampling (forced
-	// via low threshold) ranks the hub's betweenness highest.
+	// Build a medium star-of-chains graph and check that the probe-sampled
+	// estimator (fewer probes than nodes) ranks the hub's betweenness
+	// highest, as the exact metric does.
 	nl := netlist.New("m")
 	hub := nl.AddCell("hub", netlist.LUT)
 	for a := 0; a < 8; a++ {
@@ -111,7 +73,7 @@ func TestSampledMatchesExactRanking(t *testing.T) {
 			prev = c.ID
 		}
 	}
-	s := Extract(nl, Config{ExactThreshold: 1, Pivots: 20, Seed: 7})
+	s := Extract(nl, Config{Seed: 7})
 	hubB := s.X.At(hub.ID, Betweenness)
 	for v := 1; v < nl.NumCells(); v++ {
 		if s.X.At(v, Betweenness) > hubB {
@@ -119,10 +81,10 @@ func TestSampledMatchesExactRanking(t *testing.T) {
 		}
 	}
 	if s.X.At(hub.ID, Eccentricity) <= 0 {
-		t.Fatal("sampled eccentricity missing")
+		t.Fatal("eccentricity missing")
 	}
 	if s.X.At(hub.ID, Closeness) <= 0 {
-		t.Fatal("sampled closeness missing")
+		t.Fatal("closeness missing")
 	}
 }
 
@@ -162,55 +124,14 @@ func TestSingleDSPNoDistances(t *testing.T) {
 	}
 }
 
-func TestDSPPivotSampling(t *testing.T) {
-	// More DSPs than DSPPivots forces the sampled path; averages must stay
-	// positive for connected DSPs.
-	nl := netlist.New("many")
-	hub := nl.AddCell("hub", netlist.LUT)
-	var dsps []int
-	for i := 0; i < 12; i++ {
-		d := nl.AddCell("d", netlist.DSP)
-		nl.AddNet("n", hub.ID, d.ID)
-		dsps = append(dsps, d.ID)
-	}
-	s := Extract(nl, Config{DSPPivots: 4, Seed: 3})
-	nonzero := 0
-	for _, d := range dsps {
-		if s.X.At(d, AvgDSPDist) > 0 {
-			nonzero++
-		}
-	}
-	if nonzero < len(dsps)/2 {
-		t.Fatalf("only %d/%d DSPs got sampled distances", nonzero, len(dsps))
-	}
-}
-
-func TestParseMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Mode
-	}{{"", ModeAuto}, {"auto", ModeAuto}, {"exact", ModeExact}, {"sampled", ModeSampled}, {"gsp", ModeGSP}} {
-		got, err := ParseMode(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseMode(%q) = %v, %v", tc.in, got, err)
-		}
-		if tc.in != "" && got.String() != tc.in {
-			t.Fatalf("Mode(%q).String() = %q", tc.in, got)
-		}
-	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Fatal("bogus mode accepted")
-	}
-}
-
 func TestGSPModePopulatesAllColumns(t *testing.T) {
 	nl := chainWithLoop()
-	s := Extract(nl, Config{Mode: ModeGSP, Probes: 64, Seed: 1})
+	s := Extract(nl, Config{Probes: 64, Seed: 1})
 	if s.X.R != nl.NumCells() || s.X.C != NumFeatures {
 		t.Fatalf("X is %dx%d", s.X.R, s.X.C)
 	}
 	// Interior nodes must out-rank the leaves on the surrogate centralities,
-	// exactly as on the exact path.
+	// exactly as on the exact metrics.
 	lut, io := 1, 5
 	if !(s.X.At(lut, Betweenness) > s.X.At(io, Betweenness)) {
 		t.Fatalf("betweenness lut=%v io=%v", s.X.At(lut, Betweenness), s.X.At(io, Betweenness))
@@ -225,9 +146,8 @@ func TestGSPModePopulatesAllColumns(t *testing.T) {
 	if s.X.At(2, AvgDSPDist) <= 0 || s.X.At(2, AvgDSPDist) != s.X.At(3, AvgDSPDist) {
 		t.Fatalf("gsp dsp distances %v vs %v", s.X.At(2, AvgDSPDist), s.X.At(3, AvgDSPDist))
 	}
-	// Degree/feedback columns are backend-independent.
 	if s.X.At(lut, InDegree) != 2 || s.X.At(lut, FeedbackLoop) != 1 {
-		t.Fatal("shared columns missing under gsp mode")
+		t.Fatal("degree/feedback columns missing")
 	}
 }
 
@@ -235,14 +155,12 @@ func TestExtractContextCancellation(t *testing.T) {
 	nl := chainWithLoop()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, mode := range []Mode{ModeExact, ModeSampled, ModeGSP} {
-		_, err := ExtractContext(ctx, nl, Config{Mode: mode, ExactThreshold: 1})
-		if err == nil {
-			t.Fatalf("mode %v ignored canceled context", mode)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("mode %v error %v does not wrap context.Canceled", mode, err)
-		}
+	_, err := ExtractContext(ctx, nl, Config{})
+	if err == nil {
+		t.Fatal("extraction ignored canceled context")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v does not wrap context.Canceled", err)
 	}
 	// A live context must behave exactly like Extract.
 	s, err := ExtractContext(context.Background(), nl, Config{})
@@ -254,8 +172,9 @@ func TestExtractContextCancellation(t *testing.T) {
 	}
 }
 
-// Frozen-seed pivot determinism: the partial Fisher–Yates pivot selection is
-// part of the reproducibility contract — same seed, same features, bitwise.
+// Frozen-seed determinism of the probe-sampled estimator: the probe matrix
+// is a pure function of the seed, so the same seed gives the same features,
+// bitwise.
 func TestSampledFrozenSeedDeterminism(t *testing.T) {
 	nl := netlist.New("m")
 	hub := nl.AddCell("hub", netlist.LUT)
@@ -265,59 +184,38 @@ func TestSampledFrozenSeedDeterminism(t *testing.T) {
 		nl.AddNet("n", prev, c.ID)
 		prev = c.ID
 	}
-	cfg := Config{Mode: ModeSampled, Pivots: 7, Seed: 13}
+	cfg := Config{Seed: 13}
 	a := Extract(nl, cfg)
 	b := Extract(nl, cfg)
 	if a.X.MaxAbsDiff(b.X) != 0 {
-		t.Fatal("same seed produced different sampled features")
+		t.Fatal("same seed produced different features")
 	}
-	c := Extract(nl, Config{Mode: ModeSampled, Pivots: 7, Seed: 14})
+	c := Extract(nl, Config{Seed: 14})
 	if c.X.MaxAbsDiff(a.X) == 0 {
-		t.Fatal("different seeds produced identical sampled features")
+		t.Fatal("different seeds produced identical features")
 	}
 }
 
-func TestPickPivotsDistinct(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	p := pickPivots(50, 20, rng)
-	seen := map[int]bool{}
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("pivot set invalid: %v", p)
-		}
-		seen[v] = true
-	}
-	if len(p) != 20 {
-		t.Fatalf("got %d pivots", len(p))
-	}
-}
-
-// TestGSPVsSampledRanking checks the spectral surrogates against the pivot
-// sampler on a generated CNN-accelerator workload. The comparison is
-// rank-based — Spearman correlation over all nodes plus top-quartile
-// overlap — and the thresholds are deliberately coarse: diffusion/resolvent
-// surrogates share the broad centrality ordering with the distance-based
-// metrics, not the fine ranking. The classification-level contract (a GCN
-// trained on either backend issues the same DSP verdicts) is pinned
-// separately by TestFeatureAgreement and BenchmarkFeatures' agreement
-// metric. Probes exceeds the node count, so the diagonal estimates are
-// exact and the assertion is deterministic.
-func TestGSPVsSampledRanking(t *testing.T) {
+// TestGSPVsExactRanking checks the spectral surrogates against the exact
+// O(N·M) metrics of internal/graph on a generated CNN-accelerator workload.
+// The comparison is rank-based — Spearman correlation over all nodes plus
+// top-quartile overlap — and the thresholds are deliberately coarse:
+// diffusion/resolvent surrogates share the broad centrality ordering with
+// the distance-based metrics, not the fine ranking. Probes exceeds the node
+// count, so the diagonal estimates are exact and the assertion is
+// deterministic.
+func TestGSPVsExactRanking(t *testing.T) {
 	nl, err := gen.Generate(gen.Spec{Name: "rank", LUT: 600, LUTRAM: 60, FF: 450,
 		BRAM: 12, DSP: 36, FreqMHz: 200, Seed: 4}, fpga.NewZCU104())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := ExtractContext(context.Background(), nl,
-		Config{Mode: ModeSampled, Pivots: 256, Seed: 7})
+	gspSet, err := ExtractContext(context.Background(), nl, Config{Probes: 4096, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gspSet, err := ExtractContext(context.Background(), nl,
-		Config{Mode: ModeGSP, Probes: 4096, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ug := nl.ToGraph().Undirected()
+	exact := map[int][]float64{Closeness: ug.Closeness(), Betweenness: ug.Betweenness()}
 	n := nl.NumCells()
 	column := func(s *Set, col int) []float64 {
 		out := make([]float64, n)
@@ -387,7 +285,7 @@ func TestGSPVsSampledRanking(t *testing.T) {
 		{Closeness, "closeness", 0.3, 0.45},
 		{Betweenness, "betweenness", 0.5, 0.35},
 	} {
-		a, b := column(sampled, tc.col), column(gspSet, tc.col)
+		a, b := exact[tc.col], column(gspSet, tc.col)
 		t.Logf("%s: spearman %.3f, top-quartile overlap %.2f", tc.name, spearman(a, b), topOverlap(a, b))
 		if rho := spearman(a, b); rho < tc.minRho {
 			t.Errorf("%s: spearman %.3f < %.2f", tc.name, rho, tc.minRho)

@@ -165,14 +165,6 @@ func (m *Model) forward(s *Sample, rng *rand.Rand) *forwardState {
 	return st
 }
 
-// Logits runs inference and returns the pre-softmax outputs, one row per
-// node. Distillation fits students against these rather than the hard
-// classes: logits carry the teacher's confidence.
-func (m *Model) Logits(s *Sample) *mat.Dense {
-	st := m.forward(s, nil)
-	return st.pre[numLayers-1]
-}
-
 // Predict returns the predicted class per masked node along with the
 // datapath probability.
 func (m *Model) Predict(s *Sample) (classes []int, probs []float64) {

@@ -8,14 +8,6 @@ const Unreached = -1
 // get Unreached.
 func (g *Digraph) BFSDistances(src int) []int {
 	dist := make([]int, g.N())
-	g.BFSDistancesInto(src, dist)
-	return dist
-}
-
-// BFSDistancesInto is BFSDistances with a caller-owned distance buffer of
-// length N(), for sweeps that run one BFS per source and want to reuse the
-// allocation (feature extraction's DSP-distance sweep).
-func (g *Digraph) BFSDistancesInto(src int, dist []int) {
 	for i := range dist {
 		dist[i] = Unreached
 	}
@@ -33,6 +25,7 @@ func (g *Digraph) BFSDistancesInto(src int, dist []int) {
 			}
 		}
 	}
+	return dist
 }
 
 // DFSPreorder returns the nodes reachable from src in depth-first preorder.

@@ -1,13 +1,13 @@
-// Package gsp is the graph-signal-processing fast path for feature
-// extraction (ROADMAP item 3, after "The Power of Graph Signal Processing
-// for Chip Placement Acceleration"): instead of k-pivot BFS/Brandes sweeps,
-// per-node centrality surrogates are estimated from a small batch of random
-// ±1 probe vectors pushed through a degree-K Chebyshev polynomial filter on
-// the netlist's combinatorial Laplacian. The whole extraction is K·(probes+1)
-// sparse matvecs — O(K·p·M) total, independent of how many pivots or DSP
-// sources the exact path would need — and every matvec runs on the
-// deterministic row-sharded kernels of internal/mat, so the output is
-// bit-identical at any GOMAXPROCS.
+// Package gsp is the graph-signal-processing feature estimator (after "The
+// Power of Graph Signal Processing for Chip Placement Acceleration"):
+// instead of BFS/Brandes sweeps from every node, per-node centrality
+// surrogates are estimated from a small batch of random ±1 probe vectors
+// pushed through a degree-K Chebyshev polynomial filter on the netlist's
+// combinatorial Laplacian. The whole extraction is K·(probes+1) sparse
+// matvecs — O(K·p·M) total, independent of how many BFS sources the exact
+// metrics would need — and every matvec runs on the deterministic
+// row-sharded kernels of internal/mat, so the output is bit-identical at
+// any GOMAXPROCS.
 //
 // The filters used here are diffusion responses h_s(λ) = (1-λ/λmax)^s —
 // polynomials of degree s, which the degree-K Chebyshev expansion (K ≥ s)

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"dsplacer/internal/hungarian"
 )
 
 func TestSimplePath(t *testing.T) {
@@ -295,7 +293,7 @@ func TestEquivalenceVsHungarian(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		cost := randomTransportation(rng, trial%3 == 0)
-		assign, total, err := hungarian.Solve(cost)
+		assign, total, err := hungarianSolve(cost)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,8 @@
 // Package par provides the shared bounded worker-pool and chunking
 // primitives behind the repository's parallel hot paths: DSP-graph
 // construction, the per-cell candidate/cost phase of the assignment loop,
-// feature extraction sweeps and experiment-row execution.
+// the sharded sparse kernels of feature extraction and experiment-row
+// execution.
 //
 // Every helper is deterministic-by-construction: work units are identified
 // by index, results are written to caller-owned per-index (or per-worker)

@@ -8,7 +8,6 @@ import (
 
 	"dsplacer/internal/cache"
 	"dsplacer/internal/core"
-	"dsplacer/internal/features"
 	"dsplacer/internal/fpga"
 )
 
@@ -99,8 +98,8 @@ func TestDeviceSplitsCacheKey(t *testing.T) {
 
 	// The key split is visible at the key level too.
 	preq := PlaceRequest{Netlist: nlData, MCFIters: 4, Rounds: 1, Seed: 1}
-	kA := env.srv.requestKey(preq, fpga.MustDevice("zcu104"), "dsplacer", core.ValidateOff, features.ModeAuto, "off")
-	kB := env.srv.requestKey(preq, fpga.MustDevice("pynq-z2"), "dsplacer", core.ValidateOff, features.ModeAuto, "off")
+	kA := env.srv.requestKey(preq, fpga.MustDevice("zcu104"), "dsplacer", core.ValidateOff, "off")
+	kB := env.srv.requestKey(preq, fpga.MustDevice("pynq-z2"), "dsplacer", core.ValidateOff, "off")
 	if kA == kB {
 		t.Fatal("cache keys identical across devices")
 	}

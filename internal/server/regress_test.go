@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dsplacer/internal/core"
-	"dsplacer/internal/features"
 	"dsplacer/internal/jobs"
 	"dsplacer/internal/netlist"
 	"dsplacer/internal/placer"
@@ -82,37 +81,49 @@ func TestCancelSchedulerFaultIs500(t *testing.T) {
 	}
 }
 
-// The feature-extraction mode is a semantic input: two requests differing
-// only in features must derive different cache keys (the backends are
-// approximations of each other), while the mode's absence and "auto" agree.
-func TestRequestKeyIncludesFeatureMode(t *testing.T) {
+// Tenant is not a semantic input: identical work from two tenants shares
+// one cache key, and the same inputs always derive the same key.
+func TestRequestKeyExcludesTenant(t *testing.T) {
 	s := New(Config{})
 	defer s.Shutdown(context.Background())
 	req := PlaceRequest{Netlist: []byte(`{"cells":[],"nets":[]}`), Seed: 1}
-	kExact := s.requestKey(req, s.dev, "dsplacer", core.ValidateOff, features.ModeExact, "off")
-	kGSP := s.requestKey(req, s.dev, "dsplacer", core.ValidateOff, features.ModeGSP, "off")
-	if kExact == kGSP {
-		t.Fatal("exact and gsp feature modes share a cache key")
+	k := s.requestKey(req, s.dev, "dsplacer", core.ValidateOff, "off")
+	if again := s.requestKey(req, s.dev, "dsplacer", core.ValidateOff, "off"); again != k {
+		t.Fatal("same inputs produced a different key")
 	}
-	if again := s.requestKey(req, s.dev, "dsplacer", core.ValidateOff, features.ModeExact, "off"); again != kExact {
-		t.Fatal("same mode produced a different key")
-	}
-	// Tenant must NOT split the cache: identical work is shared.
 	req2 := req
 	req2.Tenant = "acme"
-	if s.requestKey(req2, s.dev, "dsplacer", core.ValidateOff, features.ModeExact, "off") != kExact {
+	if s.requestKey(req2, s.dev, "dsplacer", core.ValidateOff, "off") != k {
 		t.Fatal("tenant leaked into the cache key")
 	}
 }
 
-func TestBadFeaturesModeIs400(t *testing.T) {
+// Clients may still send a "features" field. It must neither fail the
+// request nor split the cache: the daemon's flows extract no features, so
+// two requests that differ only in it are the same placement and share one
+// cache entry.
+func TestFeaturesFieldSharesCacheEntry(t *testing.T) {
 	env := startServer(t, Config{})
-	_, status := env.submit(t, map[string]any{
-		"netlist":  json.RawMessage(`{"cells":[],"nets":[]}`),
-		"features": "psychic",
-	})
-	if status != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", status)
+	nlData := smallNetlistJSON(t, 25)
+	for i, features := range []string{"exact", "gsp"} {
+		id, status := env.submit(t, map[string]any{
+			"netlist":   json.RawMessage(nlData),
+			"mcf_iters": 4, "rounds": 1, "seed": 1,
+			"features": features,
+		})
+		if status != http.StatusAccepted {
+			t.Fatalf("submit with features %q: status %d", features, status)
+		}
+		doc := env.pollUntil(t, id, terminal)
+		if doc.State != "done" {
+			t.Fatalf("job with features %q: state %s (error %q)", features, doc.State, doc.Error)
+		}
+		if want := i > 0; doc.Result.Cached != want {
+			t.Fatalf("job with features %q: cached %v, want %v", features, doc.Result.Cached, want)
+		}
+	}
+	if got := env.srv.runs.Load(); got != 1 {
+		t.Fatalf("%d placements ran, want 1", got)
 	}
 }
 
@@ -161,7 +172,7 @@ func TestSingleFlightFollowerSurvivesLeaderCancel(t *testing.T) {
 	s := New(Config{})
 	defer s.Shutdown(context.Background())
 	nlData := smallNetlistJSON(t, 73)
-	key := s.requestKey(PlaceRequest{Netlist: nlData}, s.dev, "dsplacer", core.ValidateOff, features.ModeAuto, "off")
+	key := s.requestKey(PlaceRequest{Netlist: nlData}, s.dev, "dsplacer", core.ValidateOff, "off")
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	started := make(chan struct{})

@@ -37,7 +37,6 @@ import (
 	"dsplacer/internal/cache"
 	"dsplacer/internal/core"
 	"dsplacer/internal/costmodel"
-	"dsplacer/internal/features"
 	"dsplacer/internal/fpga"
 	"dsplacer/internal/jobs"
 	"dsplacer/internal/metrics"
@@ -172,10 +171,6 @@ type PlaceRequest struct {
 	MCFIters int   `json:"mcf_iters,omitempty"`
 	Rounds   int   `json:"rounds,omitempty"`
 	Seed     int64 `json:"seed,omitempty"`
-	// Features selects the centrality backend for feature-extracting
-	// identifiers: auto (default), exact, sampled or gsp. The backends are
-	// approximations of one another, so the mode is part of the cache key.
-	Features string `json:"features,omitempty"`
 	// Device selects the target fabric by registry name (fpga.Names());
 	// empty means the server's default device. Unknown names are rejected
 	// with 400 and the error lists the registered alternatives. The device
@@ -347,11 +342,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	fmode, err := features.ParseMode(req.Features)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	dev := s.dev
 	if req.Device != "" {
 		dev, err = fpga.Lookup(req.Device)
@@ -384,9 +374,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	cfg := core.Config{
 		ClockMHz: req.FreqMHz, Lambda: req.Lambda, Eta: req.Eta,
 		MCFIterations: req.MCFIters, Rounds: req.Rounds, Seed: req.Seed,
-		Validate: level, FeatureMode: fmode, CostModel: cm,
+		Validate: level, CostModel: cm,
 	}
-	key := s.requestKey(req, dev, flow, level, fmode, costFP)
+	key := s.requestKey(req, dev, flow, level, costFP)
 
 	// The hub exists (with its "queued" event) before the scheduler sees the
 	// job, so a worker dispatching immediately can never publish "running"
@@ -422,18 +412,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // requestKey derives the cache key from the request's semantic inputs:
 // netlist bytes, the resolved target device, flow, and every placement
-// parameter — including the feature-extraction mode, whose backends
-// approximate each other and must not share results. The device name is a
-// separate length-prefixed part, so the same netlist placed on two fabrics
-// can never share a cached result (locally or through a peer cache).
+// parameter. The device name is a separate length-prefixed part, so the
+// same netlist placed on two fabrics can never share a cached result
+// (locally or through a peer cache).
 // costFP is the resolved cost-model fingerprint ("off" when the hooks are
 // disabled): model-on and model-off placements of the same design differ,
 // as do placements under different model versions, so neither may share a
 // cached result. Tenant is deliberately excluded.
-func (s *Server) requestKey(req PlaceRequest, dev *fpga.Device, flow string, level core.ValidateLevel, fmode features.Mode, costFP string) cache.Key {
-	params := fmt.Sprintf("%s|%g|%g|%g|%d|%d|%d|%d|%s",
+func (s *Server) requestKey(req PlaceRequest, dev *fpga.Device, flow string, level core.ValidateLevel, costFP string) cache.Key {
+	params := fmt.Sprintf("%s|%g|%g|%g|%d|%d|%d|%d",
 		flow, req.FreqMHz, req.Lambda, req.Eta,
-		req.MCFIters, req.Rounds, req.Seed, level, fmode)
+		req.MCFIters, req.Rounds, req.Seed, level)
 	return cache.KeyOf(req.Netlist, []byte(dev.Name), []byte(params), []byte(costFP))
 }
 

@@ -42,13 +42,8 @@ func (r *Result) TopPaths(k int) []PathReport {
 // predecessor chains.
 func (r *Result) pathTo(endpoint int) []int {
 	path := []int{endpoint}
-	v, ok := r.endpointPred[endpoint]
-	if !ok {
-		return path
-	}
-	for v >= 0 {
+	for v := r.endpointPred[endpoint]; v >= 0; v = r.pred[v] {
 		path = append(path, v)
-		v = r.pred[v]
 	}
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
 		path[i], path[j] = path[j], path[i]

@@ -87,8 +87,8 @@ type Result struct {
 	arrOut       []float64
 	minSlack     []float64 // per cell: worst slack of any path through its output edge
 	period       float64
-	pred         []int       // worst-arrival predecessor per combinational cell
-	endpointPred map[int]int // worst launch-side predecessor per endpoint
+	pred         []int // worst-arrival predecessor per combinational cell
+	endpointPred []int // worst launch-side predecessor per cell; -1 if not an endpoint
 }
 
 // Analyze runs STA. pos must hold the placed location of every cell.
@@ -184,8 +184,13 @@ func Analyze(nl *netlist.Netlist, pos []geom.Point, opt Options) (*Result, error
 	for i := range res.minSlack {
 		res.minSlack[i] = math.Inf(1)
 	}
-	endpointSlack := make(map[int]float64)
-	endpointPred := make(map[int]int)
+	// Per-cell endpoint slack and launch predecessor; endpointPred[c] < 0
+	// marks a cell that captures no timed path.
+	endpointSlack := make([]float64, n)
+	endpointPred := make([]int, n)
+	for i := range endpointPred {
+		endpointPred[i] = -1
+	}
 	for _, e := range edges {
 		if !model.Sequential(nl.Cells[e.to].Type) {
 			continue
@@ -195,7 +200,7 @@ func Analyze(nl *netlist.Netlist, pos []geom.Point, opt Options) (*Result, error
 		}
 		arrive := arrOut[e.from] + e.delay + model.Setup
 		slack := opt.ClockPeriodNs - arrive
-		if s, ok := endpointSlack[e.to]; !ok || slack < s {
+		if endpointPred[e.to] < 0 || slack < endpointSlack[e.to] {
 			endpointSlack[e.to] = slack
 			endpointPred[e.to] = e.from
 		}
@@ -216,7 +221,12 @@ func Analyze(nl *netlist.Netlist, pos []geom.Point, opt Options) (*Result, error
 	res.endpointPred = endpointPred
 	res.WNS = math.Inf(1)
 	worstEnd := -1
+	// Walk endpoints in cell order, so the TNS sum, the Endpoints order and
+	// the WNS tie-break (lowest cell id) are the same on every run.
 	for c, s := range endpointSlack {
+		if endpointPred[c] < 0 {
+			continue
+		}
 		res.Endpoints = append(res.Endpoints, Endpoint{Cell: c, Slack: s})
 		if s < res.WNS {
 			res.WNS = s

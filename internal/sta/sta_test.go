@@ -2,6 +2,8 @@ package sta
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"dsplacer/internal/geom"
@@ -220,5 +222,64 @@ func TestTopPaths(t *testing.T) {
 	// k clamp.
 	if got := res.TopPaths(1); len(got) != 1 {
 		t.Fatalf("k=1 returned %d", len(got))
+	}
+}
+
+// Analyze is a pure function of its inputs: the TNS sum, the Endpoints
+// order and the worst path come out bit-identical on every run, also when
+// two endpoints tie on WNS (the lower cell id wins).
+func TestAnalyzeRepeatable(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	nl := netlist.New("repeat")
+	var pos []geom.Point
+	add := func(typ netlist.CellType, p geom.Point) int {
+		pos = append(pos, p)
+		return nl.AddCell("c", typ).ID
+	}
+	// hop adds one register → LUT → register path of the given length and
+	// returns its capture register.
+	hop := func(length float64) int {
+		y := rng.Float64() * 100
+		a := add(netlist.FF, geom.Point{X: 0, Y: y})
+		l := add(netlist.LUT, geom.Point{X: length / 2, Y: y})
+		b := add(netlist.FF, geom.Point{X: length, Y: y})
+		nl.AddNet("a", a, l)
+		nl.AddNet("b", l, b)
+		return b
+	}
+	for i := 0; i < 200; i++ {
+		hop(rng.Float64() * 40)
+	}
+	tieA, tieB := hop(80), hop(80)
+
+	ref, err := Analyze(nl, pos, Options{ClockPeriodNs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Endpoints) != 202 || ref.TNS >= 0 {
+		t.Fatalf("fixture: %d endpoints, TNS %v", len(ref.Endpoints), ref.TNS)
+	}
+	for i := 1; i < len(ref.Endpoints); i++ {
+		if ref.Endpoints[i-1].Cell >= ref.Endpoints[i].Cell {
+			t.Fatalf("endpoints not in cell order at %d: %v", i, ref.Endpoints[i-1:i+1])
+		}
+	}
+	if end := ref.WorstPath[len(ref.WorstPath)-1]; end != tieA {
+		t.Fatalf("worst path ends at %d, want the lower tied endpoint %d (not %d)", end, tieA, tieB)
+	}
+	for i := 0; i < 20; i++ {
+		res, err := Analyze(nl, pos, Options{ClockPeriodNs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(res.TNS) != math.Float64bits(ref.TNS) {
+			t.Fatalf("repeat %d: TNS %v, first run %v", i, res.TNS, ref.TNS)
+		}
+		if !reflect.DeepEqual(res.Endpoints, ref.Endpoints) {
+			t.Fatalf("repeat %d: Endpoints order changed", i)
+		}
+		if !reflect.DeepEqual(res.WorstPath, ref.WorstPath) {
+			t.Fatalf("repeat %d: worst path %v, first run %v", i, res.WorstPath, ref.WorstPath)
+		}
 	}
 }
