@@ -84,6 +84,7 @@ bench-module:
 bench:
 	go test -run '^$$' -bench 'DSPGraphBuild|AssignIteration|MinCostFlow|GlobalPlace|Features' -benchmem .  && \
 	go test -run '^$$' -bench . -benchmem ./internal/mcmf/ && \
+	go test -run '^$$' -bench 'Refine' -benchmem ./internal/detailed/ && \
 	go test -run '^$$' -bench 'SubmitThroughput' -benchmem ./internal/jobs/
 
 # CPU-profile one Table II regeneration at mini scale; open with

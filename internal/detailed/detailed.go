@@ -52,10 +52,16 @@ func movable(t netlist.CellType) bool {
 
 // Refine improves pos in place and returns the total HPWL gain (positive =
 // improvement). Capacity legality on CLB sites is preserved exactly.
+//
+// Each cell is visited once per pass. Its nets' boxes without the cell are
+// built once per visit, so a free-slot candidate costs one Expand per net
+// and a swap candidate adds one box per net of the partner's that the cell
+// does not share. The arithmetic and its order are those of summing every
+// touched net's weighted HPWL before and after the move (DESIGN.md §17).
 func Refine(dev *fpga.Device, nl *netlist.Netlist, pos []geom.Point, opt Options) float64 {
 	opt = opt.withDefaults()
 
-	// CLB site geometry.
+	// CLB site geometry. Column x increases strictly (fpga.Device.Validate).
 	cols := dev.ColumnsOf(fpga.CLB)
 	if len(cols) == 0 {
 		return 0
@@ -68,69 +74,51 @@ func Refine(dev *fpga.Device, nl *netlist.Netlist, pos []geom.Point, opt Options
 	numRows := dev.Columns[cols[0]].NumSites
 	capacity := dev.Columns[cols[0]].Capacity
 
-	// colOf maps a column x to its index in cols.
-	colOf := make(map[float64]int, len(cols))
-	for k, x := range colX {
-		colOf[x] = k
-	}
-
-	// Occupancy: cells per (col, row).
-	type siteKey struct{ col, row int }
-	occ := make(map[siteKey][]int)
+	// Occupancy: the cells on site col*numRows+row, in arrival order (the
+	// swap partner is a site's first resident), and each cell's site.
+	occ := make([][]int32, len(cols)*numRows)
+	colOf := make([]int, nl.NumCells())
+	rowOf := make([]int, nl.NumCells())
 	var ids []int
 	for i, c := range nl.Cells {
 		if c.Fixed || !movable(c.Type) {
 			continue
 		}
-		k, ok := colOf[pos[i].X]
-		if !ok {
+		k := sort.SearchFloat64s(colX, pos[i].X)
+		if k == len(colX) || colX[k] != pos[i].X {
 			continue // not on a CLB site (unplaced or other resource)
 		}
 		row := int(pos[i].Y/pitch + 0.5)
 		if row < 0 || row >= numRows {
 			continue
 		}
-		occ[siteKey{k, row}] = append(occ[siteKey{k, row}], i)
+		occ[k*numRows+row] = append(occ[k*numRows+row], int32(i))
+		colOf[i], rowOf[i] = k, row
 		ids = append(ids, i)
 	}
 	if len(ids) == 0 {
 		return 0
 	}
 
-	// Nets per cell for delta evaluation.
-	netsOf := make([][]*netlist.Net, nl.NumCells())
-	for _, n := range nl.Nets {
-		for _, p := range n.Pins() {
-			netsOf[p] = append(netsOf[p], n)
-		}
-	}
-	hpwlOf := func(n *netlist.Net) float64 {
+	nets := netsByCell(nl)
+	// Per-visit state, one entry per net of the visited cell: its box
+	// without the cell, its weight and its current weighted HPWL.
+	var rest []geom.Rect
+	var w, cur []float64
+	// Net marks: onC stamps the visited cell's nets, onO a swap partner's.
+	onC := newStamps(len(nl.Nets))
+	onO := newStamps(len(nl.Nets))
+	boxWithout := func(n *netlist.Net, skip int) geom.Rect {
 		r := geom.EmptyRect()
-		r = r.Expand(pos[n.Driver])
+		if n.Driver != skip {
+			r = r.Expand(pos[n.Driver])
+		}
 		for _, s := range n.Sinks {
-			r = r.Expand(pos[s])
-		}
-		return r.HalfPerimeter() * n.Weight
-	}
-	// cost of the union of both cells' nets (deduplicated by net id).
-	costAround := func(a, b int) float64 {
-		total := 0.0
-		seen := map[int]bool{}
-		for _, n := range netsOf[a] {
-			if !seen[n.ID] {
-				seen[n.ID] = true
-				total += hpwlOf(n)
+			if s != skip {
+				r = r.Expand(pos[s])
 			}
 		}
-		if b >= 0 {
-			for _, n := range netsOf[b] {
-				if !seen[n.ID] {
-					seen[n.ID] = true
-					total += hpwlOf(n)
-				}
-			}
-		}
-		return total
+		return r
 	}
 
 	rng := rand.New(rand.NewSource(opt.Seed + 3))
@@ -139,12 +127,24 @@ func Refine(dev *fpga.Device, nl *netlist.Netlist, pos []geom.Point, opt Options
 		order := rng.Perm(len(ids))
 		for _, oi := range order {
 			c := ids[oi]
-			curK := colOf[pos[c].X]
-			curRow := int(pos[c].Y/pitch + 0.5)
-			cur := siteKey{curK, curRow}
+			curK, curRow := colOf[c], rowOf[c]
+			curSite := curK*numRows + curRow
+
+			cNets := nets[c]
+			rest, w, cur = rest[:0], w[:0], cur[:0]
+			cMark := onC.next()
+			before := 0.0 // the cell's nets now: the same for every candidate
+			for _, ni := range cNets {
+				n := nl.Nets[ni]
+				onC.mark[ni] = cMark
+				r := boxWithout(n, c)
+				v := r.Expand(pos[c]).HalfPerimeter() * n.Weight
+				rest, w, cur = append(rest, r), append(w, n.Weight), append(cur, v)
+				before += v
+			}
 
 			bestDelta := -1e-9 // only strictly improving moves
-			bestTarget := siteKey{-1, -1}
+			bestK, bestRow := -1, -1
 			bestSwap := -1
 			for dk := -opt.WindowCols; dk <= opt.WindowCols; dk++ {
 				tk := curK + dk
@@ -156,56 +156,73 @@ func Refine(dev *fpga.Device, nl *netlist.Netlist, pos []geom.Point, opt Options
 					if tr < 0 || tr >= numRows {
 						continue
 					}
-					tgt := siteKey{tk, tr}
-					if tgt == cur {
+					if tk == curK && tr == curRow {
 						continue
 					}
 					tgtPos := geom.Point{X: colX[tk], Y: float64(tr) * pitch}
-					if len(occ[tgt]) < capacity {
+					if residents := occ[tk*numRows+tr]; len(residents) < capacity {
 						// Free-slot move.
-						before := costAround(c, -1)
-						old := pos[c]
-						pos[c] = tgtPos
-						delta := costAround(c, -1) - before
-						pos[c] = old
-						if delta < bestDelta {
+						after := 0.0
+						for k := range rest {
+							after += rest[k].Expand(tgtPos).HalfPerimeter() * w[k]
+						}
+						if delta := after - before; delta < bestDelta {
 							bestDelta = delta
-							bestTarget = tgt
+							bestK, bestRow = tk, tr
 							bestSwap = -1
 						}
 					} else {
 						// Swap with the first resident (cheap heuristic).
-						o := occ[tgt][0]
-						if o == c {
-							continue
+						o := int(residents[0])
+						oNets := nets[o]
+						oMark := onO.next()
+						for _, ni := range oNets {
+							onO.mark[ni] = oMark
 						}
-						before := costAround(c, o)
-						oldC, oldO := pos[c], pos[o]
-						pos[c], pos[o] = oldO, oldC
-						delta := costAround(c, o) - before
-						pos[c], pos[o] = oldC, oldO
-						if delta < bestDelta {
+						pc, po := pos[c], pos[o]
+						swapBefore, after := before, 0.0
+						for k, ni := range cNets {
+							if onO.mark[ni] == oMark {
+								// A shared net keeps its set of pin positions.
+								after += cur[k]
+							} else {
+								after += rest[k].Expand(po).HalfPerimeter() * w[k]
+							}
+						}
+						for _, ni := range oNets {
+							if onC.mark[ni] == cMark {
+								continue
+							}
+							n := nl.Nets[ni]
+							r := boxWithout(n, o)
+							swapBefore += r.Expand(po).HalfPerimeter() * n.Weight
+							after += r.Expand(pc).HalfPerimeter() * n.Weight
+						}
+						if delta := after - swapBefore; delta < bestDelta {
 							bestDelta = delta
-							bestTarget = tgt
+							bestK, bestRow = tk, tr
 							bestSwap = o
 						}
 					}
 				}
 			}
-			if bestTarget.col < 0 {
+			if bestK < 0 {
 				continue
 			}
-			tgtPos := geom.Point{X: colX[bestTarget.col], Y: float64(bestTarget.row) * pitch}
+			bestSite := bestK*numRows + bestRow
 			if bestSwap < 0 {
-				pos[c] = tgtPos
-				occ[cur] = remove(occ[cur], c)
-				occ[bestTarget] = append(occ[bestTarget], c)
+				pos[c] = geom.Point{X: colX[bestK], Y: float64(bestRow) * pitch}
+				occ[curSite] = remove(occ[curSite], c)
+				occ[bestSite] = append(occ[bestSite], int32(c))
+				colOf[c], rowOf[c] = bestK, bestRow
 			} else {
-				pos[c], pos[bestSwap] = pos[bestSwap], pos[c]
-				occ[cur] = remove(occ[cur], c)
-				occ[bestTarget] = remove(occ[bestTarget], bestSwap)
-				occ[cur] = append(occ[cur], bestSwap)
-				occ[bestTarget] = append(occ[bestTarget], c)
+				o := bestSwap
+				pos[c], pos[o] = pos[o], pos[c]
+				occ[curSite] = remove(occ[curSite], c)
+				occ[bestSite] = remove(occ[bestSite], o)
+				occ[curSite] = append(occ[curSite], int32(o))
+				occ[bestSite] = append(occ[bestSite], int32(c))
+				colOf[c], rowOf[c], colOf[o], rowOf[o] = colOf[o], rowOf[o], colOf[c], rowOf[c]
 			}
 			gain += -bestDelta
 		}
@@ -213,9 +230,10 @@ func Refine(dev *fpga.Device, nl *netlist.Netlist, pos []geom.Point, opt Options
 	return gain
 }
 
-func remove(s []int, v int) []int {
+// remove deletes v from s by moving the last element into its slot.
+func remove(s []int32, v int) []int32 {
 	for i, x := range s {
-		if x == v {
+		if int(x) == v {
 			s[i] = s[len(s)-1]
 			return s[:len(s)-1]
 		}
@@ -223,35 +241,37 @@ func remove(s []int, v int) []int {
 	return s
 }
 
-// CheckCapacity verifies that no CLB site holds more than its capacity;
-// used by tests and integration checks.
-func CheckCapacity(dev *fpga.Device, nl *netlist.Netlist, pos []geom.Point) (worst int, ok bool) {
-	cols := dev.ColumnsOf(fpga.CLB)
-	if len(cols) == 0 {
-		return 0, true
-	}
-	capacity := dev.Columns[cols[0]].Capacity
-	load := map[geom.Point]int{}
-	for i, c := range nl.Cells {
-		if !c.Fixed && movable(c.Type) {
-			load[pos[i]]++
+// netsByCell lists each cell's distinct nets in ascending net index.
+func netsByCell(nl *netlist.Netlist) [][]int32 {
+	nets := make([][]int32, nl.NumCells())
+	for ni, n := range nl.Nets {
+		add := func(c int) {
+			if l := nets[c]; len(l) == 0 || l[len(l)-1] != int32(ni) {
+				nets[c] = append(l, int32(ni))
+			}
+		}
+		add(n.Driver)
+		for _, s := range n.Sinks {
+			add(s)
 		}
 	}
-	keys := make([]geom.Point, 0, len(load))
-	for k := range load {
-		keys = append(keys, k)
+	return nets
+}
+
+// stamps marks members of a set that is rebuilt often: next starts an
+// empty set, and i is in it while mark[i] equals the returned stamp.
+type stamps struct {
+	mark  []uint32
+	epoch uint32
+}
+
+func newStamps(n int) *stamps { return &stamps{mark: make([]uint32, n)} }
+
+func (s *stamps) next() uint32 {
+	s.epoch++
+	if s.epoch == 0 { // wrapped: forget every old stamp
+		clear(s.mark)
+		s.epoch = 1
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].X != keys[b].X {
-			return keys[a].X < keys[b].X
-		}
-		return keys[a].Y < keys[b].Y
-	})
-	worst = 0
-	for _, k := range keys {
-		if load[k] > worst {
-			worst = load[k]
-		}
-	}
-	return worst, worst <= capacity
+	return s.epoch
 }

@@ -69,11 +69,11 @@ func TestRefinePreservesCapacity(t *testing.T) {
 	d := dev(t)
 	nl, pos := scrambled(t, d, 80, 2)
 	// Pile extra cells onto shared sites up to capacity.
-	if _, ok := CheckCapacity(d, nl, pos); !ok {
+	if _, ok := checkCapacity(d, nl, pos); !ok {
 		t.Fatal("precondition: start legal")
 	}
 	Refine(d, nl, pos, Options{Passes: 2, Seed: 2})
-	if worst, ok := CheckCapacity(d, nl, pos); !ok {
+	if worst, ok := checkCapacity(d, nl, pos); !ok {
 		t.Fatalf("capacity violated: worst %d", worst)
 	}
 	// Cells must still sit exactly on CLB sites.
@@ -118,4 +118,21 @@ func TestRefineNoMovablesNoop(t *testing.T) {
 	if gain := Refine(d, nl, pos, Options{}); gain != 0 {
 		t.Fatalf("gain=%v", gain)
 	}
+}
+
+// checkCapacity reports the most movable cells on any one position and
+// whether that fits a CLB site's capacity.
+func checkCapacity(dev *fpga.Device, nl *netlist.Netlist, pos []geom.Point) (worst int, ok bool) {
+	cols := dev.ColumnsOf(fpga.CLB)
+	if len(cols) == 0 {
+		return 0, true
+	}
+	load := map[geom.Point]int{}
+	for i, c := range nl.Cells {
+		if !c.Fixed && movable(c.Type) {
+			load[pos[i]]++
+			worst = max(worst, load[pos[i]])
+		}
+	}
+	return worst, worst <= dev.Columns[cols[0]].Capacity
 }

@@ -323,7 +323,16 @@ func (s *Scheduler) Submit(fn Fn, opts Options) (string, error) {
 	tq.queue = append(tq.queue, j)
 	s.queued++
 	s.submitted++
-	s.work <- struct{}{} // capacity == QueueDepth, cannot block under the lock
+	// Every queued job needs a wake token pending or held by a worker.
+	// Tokens can outnumber queued jobs: when Cancel finds none to reclaim
+	// because a worker holds it, and a Submit lands before that worker
+	// takes the lock, the worker dequeues the new job and the new token
+	// is left over. So the send must not block under the lock: a full
+	// channel already holds a token for each of at most QueueDepth jobs.
+	select {
+	case s.work <- struct{}{}:
+	default:
+	}
 	return j.id, nil
 }
 
@@ -430,8 +439,8 @@ func (s *Scheduler) Cancel(id string) error {
 				}
 			}
 		}
-		// Reclaim the job's wake token unless a worker already holds it;
-		// that worker will find one fewer entry and go back to waiting.
+		// Reclaim a wake token unless none is pending; a worker already
+		// holding one then dequeues another job or finds none.
 		select {
 		case <-s.work:
 		default:
@@ -562,7 +571,8 @@ func (s *Scheduler) worker() {
 		s.mu.Lock()
 		// One entry per token: Cancel splices canceled jobs out of their
 		// queue, so every entry here is still Queued. Every queue can be
-		// empty when Cancel raced a token this worker already received.
+		// empty when Cancel raced a token this worker already received, or
+		// when the token is a leftover (see Submit).
 		j := s.nextLocked()
 		if j == nil {
 			s.idleCheckLocked()
@@ -635,8 +645,13 @@ func (s *Scheduler) run(ctx context.Context, j *job) (res any, err error) {
 }
 
 // finishLocked moves j to a terminal state and returns its snapshot so the
-// caller can notify the observer after releasing s.mu. Caller holds s.mu.
+// caller can notify the observer after releasing s.mu. It drops the job's
+// fn, so whatever the closure captured (a request's decoded netlist) is
+// freed now rather than when the janitor evicts the job; run reads fn only
+// while the job is Running, and a queued job is out of its queue by now.
+// Caller holds s.mu.
 func (s *Scheduler) finishLocked(j *job, st State, res any, err error) Snapshot {
+	j.fn = nil
 	j.state = st
 	j.result = res
 	j.err = err

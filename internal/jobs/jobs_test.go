@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -254,6 +255,56 @@ func TestCancelQueuedNoTokenLeak(t *testing.T) {
 	})
 }
 
+// TestSubmitToleratesSurplusWakeToken: a wake token can outlive its job.
+// A worker holds the token of queued job A; Cancel(A) finds no token to
+// reclaim; Submit(C) adds one; the worker then dequeues C, and C's token is
+// left over. Submit must not block on the full channel that this surplus
+// can cause while it holds the scheduler mutex (the churn test hit that
+// within twenty runs). The test plants the surplus token directly.
+func TestSubmitToleratesSurplusWakeToken(t *testing.T) {
+	s := newTest(t, Config{Workers: 1, QueueDepth: 2})
+	release := make(chan struct{})
+	defer close(release)
+	block := func(ctx context.Context) (any, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return nil, nil
+	}
+	if _, err := s.Submit(block, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return s.Stats().Running == 1 })
+	s.work <- struct{}{} // the surplus token
+	done := make(chan error, 2)
+	go func() {
+		for i := 0; i < 2; i++ {
+			_, err := s.Submit(block, Options{})
+			done <- err
+		}
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			<-s.work // unwedge Submit so the cleanup can take the mutex
+			t.Fatal("Submit blocked on a full wake-token channel")
+		}
+	}
+	// Both queued jobs still run: the full channel held a token for each.
+	for i := 0; i < 3; i++ {
+		release <- struct{}{}
+	}
+	waitFor(t, func() bool {
+		st := s.Stats()
+		return st.Running == 0 && st.Queued == 0 && st.Done == 3
+	})
+}
+
 // TestInternalContextErrorIsFailed: an fn error that wraps
 // context.Canceled from its own sub-context is a genuine failure — only a
 // done job context makes a Canceled classification.
@@ -487,5 +538,44 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition never became true")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTerminalJobReleasesClosure submits jobs whose closures each capture a
+// large buffer. Once they are terminal the scheduler must not keep the
+// buffers alive until the result TTL, while Get still serves each result.
+func TestTerminalJobReleasesClosure(t *testing.T) {
+	const n, size = 8, 4 << 20
+	s := newTest(t, Config{Workers: 2, QueueDepth: n})
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := heap()
+	ids := make([]string, n)
+	for i := range ids {
+		buf := make([]byte, size)
+		buf[size-1] = byte(i)
+		id, err := s.Submit(func(ctx context.Context) (any, error) { return int(buf[size-1]), nil }, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	for _, id := range ids {
+		if _, err := s.Wait(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := heap(); after > base+n*size/4 {
+		t.Fatalf("heap %d MB → %d MB over %d terminal jobs: their closures are still reachable", base>>20, after>>20, n)
+	}
+	for i, id := range ids {
+		snap, err := s.Get(id)
+		if err != nil || snap.State != Done || snap.Result != i {
+			t.Fatalf("job %d: %v result=%v err=%v, want done/%d", i, snap.State, snap.Result, err, i)
+		}
 	}
 }

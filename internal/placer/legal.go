@@ -2,6 +2,7 @@ package placer
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dsplacer/internal/fpga"
@@ -78,28 +79,11 @@ func tetris(dev *fpga.Device, nl *netlist.Netlist, pos []geom.Point, res fpga.Re
 
 	for _, id := range ids {
 		p := pos[id]
-		// Candidate columns ordered by |Δx|.
-		order := make([]int, len(states))
-		for k := range order {
-			order[k] = k
-		}
-		sort.Slice(order, func(a, b int) bool {
-			da := abs(states[order[a]].x - p.X)
-			db := abs(states[order[b]].x - p.X)
-			if da != db {
-				return da < db
-			}
-			return order[a] < order[b]
-		})
-		placed := false
 		bestCost := 1e18
 		bestCol, bestRow := -1, -1
-		for _, k := range order {
+		try := func(k int) {
 			st := states[k]
 			dx := abs(st.x - p.X)
-			if dx >= bestCost {
-				break // columns are sorted by dx; no better candidate left
-			}
 			want := int(p.Y / st.pitch)
 			if r := nearestFreeRow(st.remain, want); r >= 0 {
 				dy := abs(float64(r)*st.pitch - p.Y)
@@ -109,15 +93,45 @@ func tetris(dev *fpga.Device, nl *netlist.Netlist, pos []geom.Point, res fpga.Re
 				}
 			}
 		}
-		if bestCol >= 0 {
-			st := states[bestCol]
-			st.remain[bestRow]--
-			pos[id] = geom.Point{X: st.x, Y: float64(bestRow) * st.pitch}
-			placed = true
+		// Visit columns in (|Δx|, index) order, stopping once |Δx| alone
+		// reaches the best cost: walk outward from p.X. Column x increases
+		// strictly (fpga.Device.Validate), so |Δx| never decreases along
+		// either side, and the columns at one distance form a run on each
+		// side; the left run has the lower indices and goes first.
+		j := sort.Search(len(states), func(k int) bool { return states[k].x >= p.X })
+		l, r := j-1, j
+		for l >= 0 || r < len(states) {
+			d := math.Inf(1)
+			if l >= 0 {
+				d = abs(states[l].x - p.X)
+			}
+			if r < len(states) {
+				d = math.Min(d, abs(states[r].x-p.X))
+			}
+			if !(d < bestCost) { // also stops on a NaN position
+				break
+			}
+			lo, hi := l, r
+			for lo >= 0 && abs(states[lo].x-p.X) == d {
+				lo--
+			}
+			for hi < len(states) && abs(states[hi].x-p.X) == d {
+				hi++
+			}
+			for k := lo + 1; k <= l; k++ {
+				try(k)
+			}
+			for k := r; k < hi; k++ {
+				try(k)
+			}
+			l, r = lo, hi
 		}
-		if !placed {
+		if bestCol < 0 {
 			return fmt.Errorf("placer: out of %v capacity while legalizing cell %d", res, id)
 		}
+		st := states[bestCol]
+		st.remain[bestRow]--
+		pos[id] = geom.Point{X: st.x, Y: float64(bestRow) * st.pitch}
 	}
 	return nil
 }
