@@ -401,9 +401,11 @@ type dspArc struct {
 // the pair appears in a candidate set and thereafter only re-costed
 // (UpdateCost) or capacity-toggled (SetCap 1/0) as the candidate sets
 // drift between iterations, and a site→sink arc is added at a site's
-// first-ever use. The solver recompiles its CSR only on iterations that
-// actually grow the arc set; every other iteration is pure cost rewriting
-// plus a Reset — no allocation, no graph assembly.
+// first-ever use. The solver compiles only the enabled arcs, so the
+// Reset after a drift recompiles its CSR in place; it allocates only when
+// the staged arc set outgrows its arrays. Searches stop at the sink
+// (mcmf.Solver.StopAtSink): that can change a path only at an exact cost
+// tie, and the continuous costs here do not tie.
 //
 // This replaces the historical per-iteration rebuild (fresh mcmf graph,
 // `arcs` slice and `usedSite` map every solveOnce call): the per-DSP arc
@@ -429,6 +431,7 @@ func newFlowNet(n, m int) *flowNet {
 		arcs:   make([][]dspArc, n),
 		sinkAt: make([]mcmf.ArcID, m),
 	}
+	fn.solver.StopAtSink = true
 	for i := range fn.arcAt {
 		fn.arcAt[i] = -1
 	}
@@ -443,8 +446,9 @@ func newFlowNet(n, m int) *flowNet {
 
 // update makes the live arc set match this iteration's candidate sets:
 // costs rewritten for retained pairs, new pairs added, stale pairs
-// disabled via zero capacity (the solver skips them before any float
-// math, so the solve is identical to one over the candidate arcs alone).
+// disabled via zero capacity (the solver leaves them out of the compiled
+// network, so the solve is identical to one over the candidate arcs
+// alone).
 func (fn *flowNet) update(cands [][]int, costs [][]float64) {
 	fn.epoch++
 	for i := range cands {

@@ -9,7 +9,8 @@ import (
 // benchInstance builds a reproducible assignment-shaped transportation
 // instance (n DSPs × m sites, k candidate arcs per DSP) mirroring the
 // bipartite networks assign.solveOnce assembles: source 0, DSPs 1..n,
-// sites n+1..n+m, sink n+m+1, unit capacities, λ-scaled quadratic costs.
+// sites n+1..n+m, sink n+m+1, unit capacities, λ-scaled quadratic costs,
+// searches that stop at the sink.
 type benchArc struct {
 	dsp, site int
 	cost      float64
@@ -32,6 +33,7 @@ func benchInstance(n, m, k int, seed int64) []benchArc {
 
 func buildBench(n, m int, arcs []benchArc) (*Solver, []ArcID) {
 	g := NewSolver(n + m + 2)
+	g.StopAtSink = true
 	src, sink := 0, n+m+1
 	siteUsed := make([]bool, m)
 	for i := 0; i < n; i++ {
@@ -89,5 +91,96 @@ func BenchmarkMinCostFlowWarm(b *testing.B) {
 		if flow != int64(n) || math.IsNaN(cost) {
 			b.Fatalf("flow=%d cost=%v", flow, cost)
 		}
+	}
+}
+
+// BenchmarkMinCostFlowDrift measures the steady state of assign's flowNet,
+// where the candidate sets drift between iterates: each round swaps 15% of
+// the candidate arcs for disabled ones of the same DSP, stages a few arcs
+// never seen before, rewrites every candidate cost, then Resets and solves.
+// Each DSP draws on a pool of 32 sites, 28 staged at the start with 24 of
+// them candidates. A round allocates only when its added arcs outgrow the
+// staged arrays, which grow geometrically, so it reports 0 allocs/op.
+func BenchmarkMinCostFlowDrift(b *testing.B) {
+	const n, m, k, pool = 240, 630, 24, 32
+	const swaps, adds = n * k * 15 / 100, 4
+	arcs := benchInstance(n, m, pool, 1)
+	src, sink := 0, n+m+1
+	g := NewSolver(n + m + 2)
+	g.StopAtSink = true
+	ids := make([]ArcID, len(arcs)) // pool index i*pool+x → handle
+	on := make([]bool, len(arcs))
+	staged := make([]int, n) // pool slots 0..staged[i]-1 are staged
+	siteUsed := make([]bool, m)
+	stage := func(x int, enabled bool) {
+		a := arcs[x]
+		cp := int64(0)
+		if enabled {
+			cp = 1
+		}
+		ids[x] = g.AddEdge(1+a.dsp, 1+n+a.site, cp, a.cost)
+		on[x] = enabled
+		if !siteUsed[a.site] {
+			siteUsed[a.site] = true
+			g.AddEdge(1+n+a.site, sink, 1, 0)
+		}
+	}
+	for i := 0; i < n; i++ {
+		g.AddEdge(src, 1+i, 1, 0)
+		for x := 0; x < k+4; x++ {
+			stage(i*pool+x, x < k)
+		}
+		staged[i] = k + 4
+	}
+	rng := rand.New(rand.NewSource(3))
+	pick := func(i int, state bool) int { // a staged slot of DSP i in state
+		for {
+			if x := i*pool + rng.Intn(staged[i]); on[x] == state {
+				return x
+			}
+		}
+	}
+	jitter := make([]float64, len(arcs)+1)
+	for x := range jitter {
+		jitter[x] = rng.Float64()
+	}
+	nextAdd := 0
+	round := func(r int) {
+		for s := 0; s < swaps; s++ {
+			i := rng.Intn(n)
+			on[pick(i, true)] = false
+			on[pick(i, false)] = true
+		}
+		for a := 0; a < adds; a++ {
+			i := nextAdd % n
+			nextAdd++
+			if staged[i] < pool {
+				on[pick(i, true)] = false
+				stage(i*pool+staged[i], true)
+				staged[i]++
+			}
+		}
+		for i := 0; i < n; i++ {
+			for x := i * pool; x < i*pool+staged[i]; x++ {
+				if !on[x] {
+					g.SetCap(ids[x], 0)
+					continue
+				}
+				g.UpdateCost(ids[x], arcs[x].cost+jitter[(x+r)%len(jitter)])
+				g.SetCap(ids[x], 1)
+			}
+		}
+		g.Reset()
+		if flow, cost := g.Solve(src, sink, n); flow != n || math.IsNaN(cost) {
+			b.Fatalf("flow=%d cost=%v", flow, cost)
+		}
+	}
+	for r := 0; r < 3; r++ { // size the compiled arrays
+		round(r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		round(3 + it)
 	}
 }

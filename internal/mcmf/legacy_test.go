@@ -9,6 +9,7 @@ package mcmf
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -156,10 +157,54 @@ func (g *legacyGraph) bellmanFordPotentials(s int) []float64 {
 	panic("legacy: negative cycle")
 }
 
+// stagedEdge is one AddEdge call, replayed into both solvers.
+type stagedEdge struct {
+	u, v int
+	cap  int64
+	cost float64
+}
+
+// compareWithLegacy builds the CSR solver (with the given search setting)
+// and a cold legacy graph from the same staged edges in the same order,
+// solves both and requires exactly equal flow, cost and per-arc flows.
+func compareWithLegacy(t *testing.T, name string, n int, edges []stagedEdge,
+	src, sink int, maxFlow int64, stopAtSink bool) {
+	t.Helper()
+	g := NewSolver(n)
+	g.StopAtSink = stopAtSink
+	l := newLegacyGraph(n)
+	refs := make([]ArcID, len(edges))
+	lrefs := make([]legacyRef, len(edges))
+	for x, e := range edges {
+		refs[x] = g.AddEdge(e.u, e.v, e.cap, e.cost)
+		lrefs[x] = l.AddEdge(e.u, e.v, e.cap, e.cost)
+	}
+	gf, gc := g.Solve(src, sink, maxFlow)
+	lf, lc := l.MinCostFlow(src, sink, maxFlow)
+	checkAgainstLegacy(t, name, g, refs, gf, gc, l, lrefs, lf, lc)
+}
+
+func checkAgainstLegacy(t *testing.T, name string, g *Solver, refs []ArcID, gf int64, gc float64,
+	l *legacyGraph, lrefs []legacyRef, lf int64, lc float64) {
+	t.Helper()
+	if gf != lf {
+		t.Fatalf("%s: flow %d != legacy %d", name, gf, lf)
+	}
+	if gc != lc {
+		t.Fatalf("%s: cost %v != legacy %v (diff %g)", name, gc, lc, gc-lc)
+	}
+	for x := range refs {
+		if g.Flow(refs[x]) != l.Flow(lrefs[x]) {
+			t.Fatalf("%s: arc %d flow %d != legacy %d", name, x, g.Flow(refs[x]), l.Flow(lrefs[x]))
+		}
+	}
+}
+
 // TestBitIdenticalToLegacySolver drives the CSR solver and the seed solver
 // over random bipartite assignment instances with continuous float costs
 // (as the placement loop produces — quadratic distances, no exact ties)
-// and requires exactly equal flow, cost, and per-arc flows.
+// and requires exactly equal flow, cost, and per-arc flows, with full and
+// with sink-settled searches.
 func TestBitIdenticalToLegacySolver(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 150; trial++ {
@@ -170,44 +215,28 @@ func TestBitIdenticalToLegacySolver(t *testing.T) {
 		if negative {
 			shift = -30
 		}
-		g := NewSolver(n + m + 2)
-		l := newLegacyGraph(n + m + 2)
 		src, sink := 0, n+m+1
-		var refs []ArcID
-		var lrefs []legacyRef
+		var edges []stagedEdge
 		// Interleave src arcs, candidate arcs and sink arcs exactly as
 		// assign.solveOnce historically did, to match adjacency order.
 		sinkSeen := make([]bool, m)
 		for i := 0; i < n; i++ {
-			g.AddEdge(src, 1+i, 1, 0)
-			l.AddEdge(src, 1+i, 1, 0)
+			edges = append(edges, stagedEdge{src, 1 + i, 1, 0})
 			k := 1 + rng.Intn(m)
 			start := rng.Intn(m)
 			for x := 0; x < k; x++ {
 				j := (start + x) % m
 				c := rng.Float64()*200 + shift
-				refs = append(refs, g.AddEdge(1+i, 1+n+j, 1, c))
-				lrefs = append(lrefs, l.AddEdge(1+i, 1+n+j, 1, c))
+				edges = append(edges, stagedEdge{1 + i, 1 + n + j, 1, c})
 				if !sinkSeen[j] {
 					sinkSeen[j] = true
-					g.AddEdge(1+n+j, sink, 1, 0)
-					l.AddEdge(1+n+j, sink, 1, 0)
+					edges = append(edges, stagedEdge{1 + n + j, sink, 1, 0})
 				}
 			}
 		}
-		gf, gc := g.Solve(src, sink, int64(n))
-		lf, lc := l.MinCostFlow(src, sink, int64(n))
-		if gf != lf {
-			t.Fatalf("trial %d: flow %d != legacy %d", trial, gf, lf)
-		}
-		if gc != lc {
-			t.Fatalf("trial %d: cost %v != legacy %v (diff %g)", trial, gc, lc, gc-lc)
-		}
-		for x := range refs {
-			if g.Flow(refs[x]) != l.Flow(lrefs[x]) {
-				t.Fatalf("trial %d: arc %d flow %d != legacy %d",
-					trial, x, g.Flow(refs[x]), l.Flow(lrefs[x]))
-			}
+		for _, stop := range []bool{false, true} {
+			name := fmt.Sprintf("trial %d stopAtSink=%v", trial, stop)
+			compareWithLegacy(t, name, n+m+2, edges, src, sink, int64(n), stop)
 		}
 	}
 }
@@ -219,10 +248,7 @@ func TestBitIdenticalToLegacyGeneral(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 150; trial++ {
 		n := 4 + rng.Intn(8)
-		g := NewSolver(n)
-		l := newLegacyGraph(n)
-		var refs []ArcID
-		var lrefs []legacyRef
+		var edges []stagedEdge
 		negTrial := trial%5 == 0
 		for e := 0; e < 3*n; e++ {
 			u, v := rng.Intn(n), rng.Intn(n)
@@ -241,17 +267,87 @@ func TestBitIdenticalToLegacyGeneral(t *testing.T) {
 			if negTrial {
 				c -= 10
 			}
-			refs = append(refs, g.AddEdge(u, v, cap, c))
-			lrefs = append(lrefs, l.AddEdge(u, v, cap, c))
+			edges = append(edges, stagedEdge{u, v, cap, c})
 		}
-		gf, gc := g.Solve(0, n-1, math.MaxInt64)
-		lf, lc := l.MinCostFlow(0, n-1, math.MaxInt64)
-		if gf != lf || gc != lc {
-			t.Fatalf("trial %d: (%d,%v) != legacy (%d,%v)", trial, gf, gc, lf, lc)
+		for _, stop := range []bool{false, true} {
+			name := fmt.Sprintf("trial %d stopAtSink=%v", trial, stop)
+			compareWithLegacy(t, name, n, edges, 0, n-1, math.MaxInt64, stop)
 		}
-		for x := range refs {
-			if g.Flow(refs[x]) != l.Flow(lrefs[x]) {
-				t.Fatalf("trial %d: arc %d flow differs", trial, x)
+	}
+}
+
+// TestDriftMatchesLegacy keeps one warm network alive through rounds that
+// drift the way assign's flowNet does — every staged cost rewritten
+// (negative on some rounds), candidate arcs toggled on and off with
+// SetCap, a few arcs added — and after every Reset+Solve requires exactly
+// what a cold legacy build of the same staged edges gives. Disabled arcs
+// stay in the legacy build with capacity 0, so this also checks that
+// leaving them out of the compiled network changes nothing.
+func TestDriftMatchesLegacy(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, stop := range []bool{false, true} {
+		for _, n := range []int{40, 80, 120} {
+			m := n + n/2
+			const k, pool, rounds = 10, 14, 5
+			src, sink := 0, n+m+1
+			g := NewSolver(n + m + 2)
+			g.StopAtSink = stop
+			var edges []stagedEdge
+			var refs []ArcID
+			add := func(e stagedEdge) {
+				edges = append(edges, e)
+				refs = append(refs, g.AddEdge(e.u, e.v, e.cap, e.cost))
+			}
+			siteOf := func(i, x int) int { return (i*m/n + x*5) % m }
+			sinkSeen := make([]bool, m)
+			cand := make([]int, 0, n*pool) // edge indices of DSP→site arcs
+			staged := make([]int, n)
+			addCand := func(i int, cap int64) {
+				j := siteOf(i, staged[i])
+				staged[i]++
+				cand = append(cand, len(edges))
+				add(stagedEdge{1 + i, 1 + n + j, cap, rng.Float64() * 100})
+				if !sinkSeen[j] {
+					sinkSeen[j] = true
+					add(stagedEdge{1 + n + j, sink, 1, 0})
+				}
+			}
+			for i := 0; i < n; i++ {
+				add(stagedEdge{src, 1 + i, 1, 0})
+				for x := 0; x < k; x++ {
+					addCand(i, 1)
+				}
+			}
+			for r := 0; r < rounds; r++ {
+				if r > 0 {
+					shift := 0.0
+					if r%2 == 0 {
+						shift = -40
+					}
+					for _, x := range cand {
+						if rng.Float64() < 0.15 {
+							edges[x].cap = 1 - edges[x].cap
+							g.SetCap(refs[x], edges[x].cap)
+						}
+						edges[x].cost = rng.Float64()*100 + shift
+						g.UpdateCost(refs[x], edges[x].cost)
+					}
+					for a := 0; a < 5; a++ {
+						if i := rng.Intn(n); staged[i] < pool {
+							addCand(i, 1)
+						}
+					}
+				}
+				g.Reset()
+				gf, gc := g.Solve(src, sink, int64(n))
+				l := newLegacyGraph(n + m + 2)
+				lrefs := make([]legacyRef, len(edges))
+				for x, e := range edges {
+					lrefs[x] = l.AddEdge(e.u, e.v, e.cap, e.cost)
+				}
+				lf, lc := l.MinCostFlow(src, sink, int64(n))
+				name := fmt.Sprintf("stopAtSink=%v n=%d round %d", stop, n, r)
+				checkAgainstLegacy(t, name, g, refs, gf, gc, l, lrefs, lf, lc)
 			}
 		}
 	}

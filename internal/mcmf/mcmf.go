@@ -6,34 +6,41 @@
 //
 // The solver is built for the placement loop's access pattern: the
 // assignment network is solved once per linearization iterate (50 per
-// pass), with the same node set and a slowly-growing arc set whose costs
-// change every iterate. A Solver therefore separates the network's
+// pass), with the same node set, a slowly-growing set of staged arcs whose
+// costs change every iterate, and a live subset of them that drifts with
+// the candidate sets. A Solver therefore separates the network's
 // *structure* from its *state*:
 //
-//   - AddEdge stages arcs; Finish compiles them into flat CSR arrays
-//     (head/to/cost/cap/flow/rev) — no per-node slices, no pointer chasing.
+//   - AddEdge stages arcs; the first Reset or Solve compiles the live ones
+//     (non-zero capacity) into flat CSR arrays (head/to/cost/cap/flow/rev)
+//     — no per-node slices, no pointer chasing. A zero-capacity arc is
+//     left out in both directions: it can never carry flow, and both
+//     searches skip it anyway, so leaving it out changes nothing but the
+//     arcs a search scans.
 //   - UpdateCost and SetCap rewrite a staged arc in place; Reset restores
 //     capacities and zeroes flow so the same compiled network solves the
-//     next iterate without re-allocating anything.
-//   - Adding arcs after Finish marks the solver dirty; the next
-//     Finish/Reset/Solve recompiles the CSR (an O(nodes+arcs) pass), so the
-//     caller only pays for structure changes when the arc set actually
-//     grows.
+//     next iterate.
+//   - Adding an arc, or a SetCap that switches an arc between zero and
+//     non-zero capacity, marks the structure dirty; the next Reset or Solve
+//     recompiles the CSR (an O(nodes+arcs) pass) into the arrays it already
+//     has, so a steady-state iterate allocates nothing.
 //
 // Dijkstra runs on an index-based non-boxing binary heap (internal/heapq)
 // whose pop order — ties included — replicates container/heap, keeping
 // augmenting-path selection, and therefore every downstream placement,
 // bit-identical to the historical slice-of-slices solver. The
-// Bellman–Ford potential pass is skipped entirely when every arc cost is
-// non-negative (detected at Finish; true for the λ-scaled distance costs
-// the assignment loop produces) and the network carries no flow: zero
+// Bellman–Ford potential pass is skipped entirely when every staged arc
+// cost is non-negative (true for the λ-scaled distance costs the
+// assignment loop produces) and the network carries no flow: zero
 // potentials are then already valid, and after the first search the
 // shortest-path distances take over, exactly as Bellman–Ford's would.
+// StopAtSink ends each search once the sink settles (see its comment).
 package mcmf
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"dsplacer/internal/heapq"
@@ -41,7 +48,7 @@ import (
 )
 
 // ArcID is the stable handle AddEdge returns: the arc's staging index. It
-// survives Finish, cost/capacity updates and CSR recompilations.
+// survives cost/capacity updates and CSR recompilations.
 type ArcID int32
 
 // Solver is a reusable min-cost-flow network over nodes 0..n-1.
@@ -53,18 +60,34 @@ type Solver struct {
 	// (one placement job of many running concurrently).
 	Stages *stage.Recorder
 
+	// StopAtSink ends each shortest-path search as soon as the sink
+	// settles, then raises every potential by min(dist, dist[sink])
+	// instead of by dist (an unreached node's +Inf becomes dist[sink]),
+	// which keeps every reduced cost non-negative. Within one search the
+	// augmenting path is the one a full search finds: every later pop has
+	// key ≥ dist[sink], so nothing can rewrite a settled node's
+	// predecessor. Only the potentials differ, so a later search can break
+	// an exact cost tie the other way. The assignment network sets it: its
+	// costs are continuous, exact ties have measure zero, and most of a
+	// full search is spent past the sink. The inter-column legalizer must
+	// not: its |Δx| costs tie whenever groups lie on the same side of two
+	// columns, it rounds the split flow to majority columns, and its
+	// placements then change (8 of 48 pynq-z2 placements moved, one HPWL
+	// from 5184 to 8666).
+	StopAtSink bool
+
 	n int
 
-	// Staged arcs, one entry per AddEdge in insertion order. Kept after
-	// Finish so the CSR can be recompiled when the network grows.
+	// Staged arcs, one entry per AddEdge in insertion order, zero-capacity
+	// ones included. The CSR is compiled from them.
 	eFrom, eTo []int32
 	eCap       []int64
 	eCost      []float64
-	negArcs    int // staged arcs with negative cost
+	negArcs    int // staged arcs with negative cost, live or not
 
-	// Compiled CSR: two directed arcs per staged edge, grouped by tail
-	// node, per-node order = staging order (matching the historical
-	// adjacency-list append order).
+	// Compiled CSR: two directed arcs per live (non-zero capacity) staged
+	// edge, grouped by tail node, per-node order = staging order (matching
+	// the historical adjacency-list append order).
 	head []int32   // node -> first arc; len n+1
 	to   []int32   // arc -> head node
 	cost []float64 // arc cost (reverse arcs negated)
@@ -72,13 +95,15 @@ type Solver struct {
 	caps []int64   // working residual capacity
 	flow []int64   // units pushed (negative on reverse arcs)
 	rev  []int32   // arc -> its reverse arc
-	pos  []int32   // ArcID -> CSR index of the forward arc
+	pos  []int32   // ArcID -> CSR index of the forward arc, -1 if not live
+	next []int32   // compile scratch: per-node fill cursor
 
-	dirty     bool // arcs staged since the last Finish
+	dirty     bool // structure changed since the last compile
 	needReset bool // cost/cap templates edited since the last Reset
 	hasFlow   bool // augmentations applied since the last Reset
 
-	// Per-solve scratch, sized at Finish and reused across Solve calls.
+	// Per-solve scratch, sized at the first compile and reused across
+	// Solve calls.
 	h, dist []float64
 	prevArc []int32
 	pq      heapq.Heap
@@ -89,16 +114,10 @@ func NewSolver(n int) *Solver {
 	return &Solver{n: n, dirty: true}
 }
 
-// N returns the node count.
-func (s *Solver) N() int { return s.n }
-
-// NumArcs returns the number of staged forward arcs.
-func (s *Solver) NumArcs() int { return len(s.eFrom) }
-
 // AddEdge stages an arc u→v with the given capacity and per-unit cost and
-// returns its handle. Arcs may be added after Finish; the structure is
-// recompiled on the next Finish, Reset or Solve, which also clears any
-// flow on the network.
+// returns its handle. Arcs may be added after a solve; the structure is
+// recompiled on the next Reset or Solve, which also clears any flow on
+// the network.
 func (s *Solver) AddEdge(u, v int, cap int64, cost float64) ArcID {
 	if u < 0 || u >= s.n || v < 0 || v >= s.n {
 		panic(fmt.Sprintf("mcmf: edge (%d,%d) out of range", u, v))
@@ -118,8 +137,9 @@ func (s *Solver) AddEdge(u, v int, cap int64, cost float64) ArcID {
 }
 
 // UpdateCost rewrites the cost of a staged arc (its reverse arc follows
-// with the negated cost). The current flow becomes meaningless; call Reset
-// (or let Solve auto-reset a flow-free network) before solving again.
+// with the negated cost); on a disabled arc it takes effect when the arc
+// is re-enabled. The current flow becomes meaningless; call Reset (or let
+// Solve auto-reset a flow-free network) before solving again.
 func (s *Solver) UpdateCost(e ArcID, cost float64) {
 	if s.eCost[e] < 0 {
 		s.negArcs--
@@ -129,106 +149,127 @@ func (s *Solver) UpdateCost(e ArcID, cost float64) {
 	}
 	s.eCost[e] = cost
 	if !s.dirty {
-		f := s.pos[e]
-		s.cost[f] = cost
-		s.cost[s.rev[f]] = -cost
+		if f := s.pos[e]; f >= 0 {
+			s.cost[f] = cost
+			s.cost[s.rev[f]] = -cost
+		}
 	}
 	s.needReset = true
 }
 
 // SetCap rewrites the capacity of a staged arc. A capacity of zero
-// disables the arc without recompiling the network — Dijkstra skips it
-// before touching any float math, exactly as if it were absent. Takes
-// effect at the next Reset.
+// disables the arc: it leaves the compiled network, exactly as if it were
+// absent. Switching an arc between zero and non-zero capacity recompiles
+// the network at the next Reset or Solve; any other change edits the
+// compiled template in place. Takes effect at the next Reset.
 func (s *Solver) SetCap(e ArcID, cap int64) {
 	if cap < 0 {
 		panic("mcmf: negative capacity")
 	}
-	s.eCap[e] = cap
-	if !s.dirty {
+	if (cap == 0) != (s.eCap[e] == 0) {
+		s.dirty = true
+	} else if !s.dirty && cap != 0 {
 		s.cap0[s.pos[e]] = cap
 	}
+	s.eCap[e] = cap
 	s.needReset = true
 }
 
-// Flow returns the units currently pushed through the referenced arc.
+// Flow returns the units currently pushed through the referenced arc; a
+// disabled arc carries none.
 func (s *Solver) Flow(e ArcID) int64 {
 	if s.dirty {
-		panic("mcmf: Flow on a dirty solver; Finish or Solve first")
+		panic("mcmf: Flow on a dirty solver; Reset or Solve first")
 	}
-	return s.flow[s.pos[e]]
+	if f := s.pos[e]; f >= 0 {
+		return s.flow[f]
+	}
+	return 0
 }
 
-// Finish compiles the staged arcs into the flat CSR arrays and resets the
-// network to its pristine state (template capacities, zero flow). Calling
-// it on a clean solver is equivalent to Reset.
-func (s *Solver) Finish() {
-	if !s.dirty {
-		s.applyTemplates()
-		return
+// finish compiles the live staged arcs into the flat CSR arrays, reusing
+// their storage, and resets the network to its pristine state (template
+// capacities, zero flow).
+func (s *Solver) finish() {
+	s.head = resize(s.head, s.n+1)
+	clear(s.head)
+	live := 0
+	for i, c := range s.eCap {
+		if c != 0 {
+			s.head[s.eFrom[i]+1]++
+			s.head[s.eTo[i]+1]++
+			live++
+		}
 	}
-	nArcs := 2 * len(s.eFrom)
-	deg := make([]int32, s.n+1)
-	for i := range s.eFrom {
-		deg[s.eFrom[i]+1]++
-		deg[s.eTo[i]+1]++
-	}
-	s.head = deg // head[u+1] currently holds deg(u+1); prefix-sum in place
-	for u := 0; u < s.n; u++ {
+	for u := 0; u < s.n; u++ { // prefix-sum the degrees in place
 		s.head[u+1] += s.head[u]
 	}
-	next := make([]int32, s.n)
-	for u := 0; u < s.n; u++ {
-		next[u] = s.head[u]
-	}
-	s.to = make([]int32, nArcs)
-	s.cost = make([]float64, nArcs)
-	s.cap0 = make([]int64, nArcs)
-	s.caps = make([]int64, nArcs)
-	s.flow = make([]int64, nArcs)
-	s.rev = make([]int32, nArcs)
-	s.pos = make([]int32, len(s.eFrom))
-	for i := range s.eFrom {
+	s.next = resize(s.next, s.n)
+	copy(s.next, s.head)
+	nArcs := 2 * live
+	s.to = resize(s.to, nArcs)
+	s.cost = resize(s.cost, nArcs)
+	s.cap0 = resize(s.cap0, nArcs)
+	s.caps = resize(s.caps, nArcs)
+	s.flow = resize(s.flow, nArcs)
+	s.rev = resize(s.rev, nArcs)
+	s.pos = resize(s.pos, len(s.eFrom))
+	for i, c := range s.eCap {
+		if c == 0 {
+			s.pos[i] = -1
+			continue
+		}
 		u, v := s.eFrom[i], s.eTo[i]
-		f := next[u]
-		next[u]++
-		r := next[v]
-		next[v]++
+		f := s.next[u]
+		s.next[u]++
+		r := s.next[v]
+		s.next[v]++
 		s.to[f] = v
 		s.cost[f] = s.eCost[i]
-		s.cap0[f] = s.eCap[i]
+		s.cap0[f] = c
 		s.rev[f] = r
 		s.to[r] = u
 		s.cost[r] = -s.eCost[i]
+		s.cap0[r] = 0
 		s.rev[r] = f
 		s.pos[i] = f
 	}
-	s.h = make([]float64, s.n)
-	s.dist = make([]float64, s.n)
-	s.prevArc = make([]int32, s.n)
-	s.pq.Grow(s.n)
+	if len(s.h) != s.n {
+		s.h = make([]float64, s.n)
+		s.dist = make([]float64, s.n)
+		s.prevArc = make([]int32, s.n)
+		s.pq.Grow(s.n)
+	}
 	s.dirty = false
 	s.applyTemplates()
+}
+
+// resize returns x with length n, keeping its storage when it is large
+// enough and growing it geometrically otherwise. The contents are
+// unspecified.
+func resize[T any](x []T, n int) []T {
+	if cap(x) < n {
+		return slices.Grow(x[:0], n)[:n]
+	}
+	return x[:n]
 }
 
 // applyTemplates restores working capacities from the templates and clears
 // all flow.
 func (s *Solver) applyTemplates() {
 	copy(s.caps, s.cap0)
-	for i := range s.flow {
-		s.flow[i] = 0
-	}
+	clear(s.flow)
 	s.hasFlow = false
 	s.needReset = false
 }
 
 // Reset returns the network to its pristine state — template capacities,
-// zero flow — keeping the compiled structure (recompiling it first if arcs
-// were staged since the last Finish). This is the warm-start entry point:
-// Reset + Solve on an unchanged structure allocates nothing.
+// zero flow — recompiling the structure first if it changed since the last
+// compile. This is the warm-start entry point: Reset + Solve allocates
+// nothing unless the staged arc set outgrew the compiled arrays.
 func (s *Solver) Reset() {
 	if s.dirty {
-		s.Finish()
+		s.finish()
 		return
 	}
 	s.applyTemplates()
@@ -238,8 +279,8 @@ func (s *Solver) Reset() {
 // cheapest augmenting paths and returns the amount shipped and its total
 // cost. Pass math.MaxInt64 as maxFlow for min-cost *max*-flow. Negative
 // arc costs are supported through an initial Bellman–Ford potential pass;
-// when every cost is non-negative and the network is flow-free the pass is
-// skipped (zero potentials are already valid).
+// when every staged cost is non-negative and the network is flow-free the
+// pass is skipped (zero potentials are already valid).
 //
 // Calling Solve again without Reset continues augmenting on the residual
 // network, as the historical solver did. Calling it after UpdateCost or
@@ -249,12 +290,13 @@ func (s *Solver) Solve(src, dst int, maxFlow int64) (flow int64, cost float64) {
 	if src == dst {
 		return 0, 0
 	}
+	// Checked before any recompile, which would clear the flow silently.
+	if s.needReset && s.hasFlow {
+		panic("mcmf: Solve after UpdateCost/SetCap on a network with flow; call Reset first")
+	}
 	if s.dirty {
-		s.Finish()
+		s.finish()
 	} else if s.needReset {
-		if s.hasFlow {
-			panic("mcmf: Solve after UpdateCost/SetCap on a network with flow; call Reset first")
-		}
 		s.applyTemplates()
 	}
 
@@ -265,22 +307,24 @@ func (s *Solver) Solve(src, dst int, maxFlow int64) (flow int64, cost float64) {
 		// potentials too.
 		s.bellmanFord(src)
 	} else {
-		for i := range s.h {
-			s.h[i] = 0
-		}
+		clear(s.h)
 	}
 	s.Stages.Add("mcmf.potentials", time.Since(tPot))
 
 	var tDij, tAug time.Duration
 	for flow < maxFlow {
 		t0 := time.Now()
-		s.dijkstra(src)
+		s.dijkstra(src, dst)
 		tDij += time.Since(t0)
-		if math.IsInf(s.dist[dst], 1) {
+		dd := s.dist[dst]
+		if math.IsInf(dd, 1) {
 			break // dst no longer reachable
 		}
 		t0 = time.Now()
 		for i, d := range s.dist {
+			if s.StopAtSink {
+				d = min(d, dd) // an unsettled node rises by dist[sink]
+			}
 			if !math.IsInf(d, 1) {
 				s.h[i] += d
 			}
@@ -314,8 +358,8 @@ func (s *Solver) Solve(src, dst int, maxFlow int64) (flow int64, cost float64) {
 }
 
 // dijkstra runs the reduced-cost shortest-path search from src, filling
-// dist and prevArc.
-func (s *Solver) dijkstra(src int) {
+// dist and prevArc. Under StopAtSink it returns once dst settles.
+func (s *Solver) dijkstra(src, dst int) {
 	for i := range s.dist {
 		s.dist[i] = math.Inf(1)
 		s.prevArc[i] = -1
@@ -328,6 +372,9 @@ func (s *Solver) dijkstra(src int) {
 		u := int(it.ID)
 		if it.Dist > s.dist[u] {
 			continue // stale entry
+		}
+		if u == dst && s.StopAtSink {
+			return
 		}
 		if math.IsInf(s.h[u], 1) {
 			// Loop-invariant for every arc out of u: a node without a

@@ -1,6 +1,7 @@
 package mcmf
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -223,6 +224,22 @@ func TestPanics(t *testing.T) {
 		g.UpdateCost(e, 5)
 		g.Solve(0, 1, 1) // must panic: flow present, costs changed, no Reset
 	}()
+	// The same holds for SetCap, both when it disables an arc (which
+	// recompiles the network) and when it resizes one in place.
+	for _, cap := range []int64{0, 3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Solve with stale flow after SetCap(%d) accepted", cap)
+				}
+			}()
+			e := g.AddEdge(0, 1, 2, 1)
+			g.Reset()
+			g.Solve(0, 1, 1)
+			g.SetCap(e, cap)
+			g.Solve(0, 1, 1)
+		}()
+	}
 }
 
 // randomTransportation builds an n-rows × m-cols (n ≤ m) assignment
@@ -438,5 +455,145 @@ func TestSetCapDisablesArc(t *testing.T) {
 	g.Reset()
 	if _, cost := g.Solve(0, 2, 1); cost != 2 {
 		t.Fatalf("cost=%v, want 2 after re-enabling", cost)
+	}
+}
+
+// checkReducedCosts requires cost + h[u] - h[v] ≥ -tol on every residual
+// arc (caps > 0) of the compiled network whose ends both have finite
+// potentials: the invariant that keeps the next Dijkstra search exact.
+// Full searches never raise a node they did not reach, so under them only
+// arcs whose tail src still reaches are checked; that is every arc a later
+// search can scan, because augmenting only adds arcs between reached
+// nodes. Sink-settled searches raise every node and must keep all of them.
+func checkReducedCosts(t *testing.T, name string, g *Solver, src int) {
+	t.Helper()
+	scan := make([]bool, g.n)
+	if g.StopAtSink {
+		for u := range scan {
+			scan[u] = true
+		}
+	} else {
+		scan[src] = true
+		for stack := []int{src}; len(stack) > 0; {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for a := g.head[u]; a < g.head[u+1]; a++ {
+				if v := g.to[a]; g.caps[a] > 0 && !scan[v] {
+					scan[v] = true
+					stack = append(stack, int(v))
+				}
+			}
+		}
+	}
+	for u := 0; u < g.n; u++ {
+		for a := g.head[u]; scan[u] && a < g.head[u+1]; a++ {
+			v := g.to[a]
+			hu, hv := g.h[u], g.h[v]
+			if g.caps[a] <= 0 || math.IsInf(hu, 1) || math.IsInf(hv, 1) {
+				continue
+			}
+			rc := g.cost[a] + hu - hv
+			if tol := 1e-9 * (1 + math.Abs(g.cost[a]) + math.Abs(hu) + math.Abs(hv)); rc < -tol {
+				t.Fatalf("%s: arc %d→%d reduced cost %g", name, u, v, rc)
+			}
+		}
+	}
+}
+
+// TestReducedCostInvariant solves random networks for every flow value k
+// with full and with sink-settled searches, and checks the reduced-cost
+// invariant after each solve: bipartite assignment networks with negative
+// costs (the Bellman–Ford start) and general multi-unit networks.
+func TestReducedCostInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, stop := range []bool{false, true} {
+		for trial := 0; trial < 40; trial++ {
+			cost := randomTransportation(rng, trial%2 == 0)
+			n, m := len(cost), len(cost[0])
+			g := NewSolver(n + m + 2)
+			g.StopAtSink = stop
+			for i := 0; i < n; i++ {
+				g.AddEdge(0, 1+i, 1, 0)
+				for j := 0; j < m; j++ {
+					if rng.Float64() < 0.7 {
+						g.AddEdge(1+i, 1+n+j, 1, cost[i][j])
+					}
+				}
+			}
+			for j := 0; j < m; j++ {
+				g.AddEdge(1+n+j, n+m+1, 1, 0)
+			}
+			for k := 1; k <= n; k++ {
+				g.Reset()
+				g.Solve(0, n+m+1, int64(k))
+				checkReducedCosts(t, fmt.Sprintf("bipartite stopAtSink=%v trial %d k=%d", stop, trial, k), g, 0)
+			}
+		}
+		for trial := 0; trial < 40; trial++ {
+			n := 5 + rng.Intn(8)
+			g := NewSolver(n)
+			g.StopAtSink = stop
+			for e := 0; e < 4*n; e++ {
+				u, v := rng.Intn(n), rng.Intn(n)
+				if u >= v { // acyclic, so negative costs hold no negative cycle
+					continue
+				}
+				g.AddEdge(u, v, int64(1+rng.Intn(4)), rng.Float64()*30-8)
+			}
+			maxFlow, _ := g.Solve(0, n-1, math.MaxInt64)
+			for k := int64(1); k <= maxFlow; k++ {
+				g.Reset()
+				g.Solve(0, n-1, k)
+				checkReducedCosts(t, fmt.Sprintf("general stopAtSink=%v trial %d k=%d", stop, trial, k), g, 0)
+			}
+		}
+	}
+}
+
+// TestDisabledArcContract pins what a zero-capacity arc means now that it
+// leaves the compiled network: it reports no flow, a cost written while it
+// is disabled applies once it is re-enabled, and a negative cost on it
+// still selects the Bellman–Ford start. TestPanics covers SetCap on a
+// network that carries flow.
+func TestDisabledArcContract(t *testing.T) {
+	g := NewSolver(3)
+	cheap := g.AddEdge(0, 1, 1, 1)
+	dear := g.AddEdge(0, 1, 1, 5)
+	idle := g.AddEdge(0, 2, 0, 0) // staged disabled, never compiled
+	g.AddEdge(1, 2, 2, 0)
+	if f, c := g.Solve(0, 2, 2); f != 2 || c != 6 {
+		t.Fatalf("flow=%d cost=%v, want 2/6", f, c)
+	}
+	if g.Flow(idle) != 0 {
+		t.Fatal("arc staged with capacity 0 reports flow")
+	}
+
+	g.SetCap(cheap, 0)
+	g.Reset()
+	if f, c := g.Solve(0, 2, 2); f != 1 || c != 5 {
+		t.Fatalf("flow=%d cost=%v, want 1/5 with the cheap arc disabled", f, c)
+	}
+	if g.Flow(cheap) != 0 || g.Flow(dear) != 1 {
+		t.Fatalf("flows cheap=%d dear=%d, want 0/1", g.Flow(cheap), g.Flow(dear))
+	}
+
+	g.Reset()
+	g.UpdateCost(cheap, 0.5) // written while disabled
+	g.SetCap(cheap, 1)
+	g.Reset()
+	if f, c := g.Solve(0, 2, 1); f != 1 || c != 0.5 || g.Flow(cheap) != 1 {
+		t.Fatalf("flow=%d cost=%v cheap=%d, want the re-enabled arc at its new cost", f, c, g.Flow(cheap))
+	}
+
+	// A disabled arc's negative cost still selects the Bellman–Ford
+	// start, as it did when disabled arcs were compiled: a node it alone
+	// could reach keeps a +Inf potential instead of a zero one.
+	neg := NewSolver(4)
+	neg.StopAtSink = true
+	neg.AddEdge(0, 1, 1, 1)
+	neg.AddEdge(1, 2, 1, 1)
+	neg.AddEdge(0, 3, 0, -5)
+	if f, c := neg.Solve(0, 2, 1); f != 1 || c != 2 || !math.IsInf(neg.h[3], 1) {
+		t.Fatalf("flow=%d cost=%v h[3]=%v, want 1/2 and a Bellman–Ford start", f, c, neg.h[3])
 	}
 }

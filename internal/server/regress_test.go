@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -272,5 +274,67 @@ func TestMetricsTenantGauges(t *testing.T) {
 		if !bytes.Contains([]byte(text), []byte(want)) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestTerminalJobKeepsOnlyDocument submits one placement and then the same
+// request again and again. Every repeat is a cache hit, which decodes a
+// fresh outcome with every cell's position; the scheduler keeps each
+// finished job's result until its TTL, so it must keep the served document
+// only, not the decoded placement. Each hit still serves the miss's
+// document apart from id, timestamps and the cached flag.
+func TestTerminalJobKeepsOnlyDocument(t *testing.T) {
+	const hits = 40
+	env := startServer(t, Config{})
+	req := map[string]any{"netlist": json.RawMessage(smallNetlistJSON(t, 91))}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	run := func() JobDoc {
+		id, status := env.submit(t, req)
+		if status != http.StatusAccepted {
+			t.Fatalf("submit: status %d", status)
+		}
+		doc := env.pollUntil(t, id, terminal)
+		if doc.State != "done" || doc.Result == nil {
+			t.Fatalf("job %s: state %s err %q", id, doc.State, doc.Error)
+		}
+		return doc
+	}
+	miss := run()
+	if miss.Result.Cached {
+		t.Fatal("first run reports a cache hit")
+	}
+
+	// What the hits decode, and so what a scheduler that kept their
+	// outcomes would retain.
+	key := env.srv.requestKey(PlaceRequest{Netlist: smallNetlistJSON(t, 91)}, env.srv.dev,
+		"dsplacer", core.ValidateOff, "off")
+	before := heap()
+	decoded := make([]*outcome, hits)
+	for i := range decoded {
+		var ok bool
+		if decoded[i], ok = env.srv.cacheGet(key); !ok {
+			t.Fatal("miss left no cache entry")
+		}
+	}
+	outcomes := int64(heap()) - int64(before)
+	runtime.KeepAlive(decoded)
+	decoded = nil
+
+	base := heap()
+	want := *miss.Result
+	want.Cached = true
+	for i := 0; i < hits; i++ {
+		if got := run(); !reflect.DeepEqual(*got.Result, want) {
+			t.Fatalf("hit %d serves %+v, want %+v", i, *got.Result, want)
+		}
+	}
+	if grew := int64(heap()) - int64(base); grew > outcomes/2 {
+		t.Fatalf("heap grew %d KB over %d cached jobs, against %d KB for their decoded outcomes: finished jobs keep their outcomes",
+			grew>>10, hits, outcomes>>10)
 	}
 }

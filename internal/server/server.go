@@ -384,7 +384,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	h := newHub()
 	h.publish(stateEvent(jobs.Queued.String(), nil))
 	id, err := s.sched.Submit(func(ctx context.Context) (any, error) {
-		return s.place(ctx, key, dev, flow, mode, nl, cfg, h)
+		// The scheduler keeps a job's result until its TTL, so the job
+		// keeps only the document it serves, not the outcome's placement.
+		o, err := s.place(ctx, key, dev, flow, mode, nl, cfg, h)
+		if err != nil {
+			return nil, err
+		}
+		return resultDoc(o), nil
 	}, jobs.Options{
 		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
 		Tenant:  req.Tenant,
@@ -711,9 +717,7 @@ func jobDoc(snap jobs.Snapshot) JobDoc {
 		doc.Error = snap.Err.Error()
 	}
 	if snap.State == jobs.Done {
-		if o, ok := snap.Result.(*outcome); ok {
-			doc.Result = resultDoc(o)
-		}
+		doc.Result, _ = snap.Result.(*ResultDoc)
 	}
 	return doc
 }
