@@ -74,7 +74,7 @@ func benchFlowRow(b *testing.B, f func(*experiments.Suite, gen.Spec) error) {
 	}
 }
 
-// BenchmarkGlobalPlace measures the analytical global-placement engines on
+// BenchmarkGlobalPlace measures the analytical global-placement engine on
 // one mini benchmark: cold placement from scratch and the warm incremental
 // re-place (the flow's hot path — every DSPlacer round after the prototype
 // re-places against the newly fixed datapath DSP sites). Each sub-benchmark
@@ -86,36 +86,25 @@ func BenchmarkGlobalPlace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// A shared cold prototype gives both warm arms the same starting point.
-	proto, err := placer.Place(s.Dev, nl, placer.Options{Seed: 1, GP: placer.ModeElectrostatic})
+	// A cold prototype is the warm run's starting point.
+	proto, err := placer.Place(s.Dev, nl, placer.Options{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	engines := []struct {
-		name string
-		gp   placer.GPMode
-	}{
-		{"electrostatic", placer.ModeElectrostatic},
-		{"quadratic", placer.ModeQuadratic},
-	}
-	for _, eng := range engines {
-		b.Run("cold/"+eng.name, func(b *testing.B) {
-			benchPlace(b, s, nl, placer.Options{Seed: 3, GP: eng.gp})
+	b.Run("cold", func(b *testing.B) {
+		benchPlace(b, s, nl, placer.Options{Seed: 3})
+	})
+	b.Run("warm", func(b *testing.B) {
+		benchPlace(b, s, nl, placer.Options{
+			Seed: 3, Warm: proto.Pos, FixedSites: proto.SiteOfDSP,
 		})
-	}
-	for _, eng := range engines {
-		b.Run("warm/"+eng.name, func(b *testing.B) {
-			benchPlace(b, s, nl, placer.Options{
-				Seed: 3, GP: eng.gp, Warm: proto.Pos, FixedSites: proto.SiteOfDSP,
-			})
-		})
-	}
+	})
 }
 
-// benchPlace times the global-placement phase alone (the engine under
-// comparison), then — outside the timer — legalizes the identical positions
-// via Place and reports the resulting legal HPWL, so the ns/op of the two
-// engines is read against the quality their positions actually deliver.
+// benchPlace times the global-placement phase alone, then — outside the
+// timer — legalizes the identical positions via Place and reports the
+// resulting legal HPWL, so the ns/op is read against the quality the
+// positions actually deliver.
 func benchPlace(b *testing.B, s *experiments.Suite, nl *netlist.Netlist, opt placer.Options) {
 	b.Helper()
 	b.ReportAllocs()

@@ -31,7 +31,6 @@ import (
 	"dsplacer/internal/costmodel"
 	"dsplacer/internal/experiments"
 	"dsplacer/internal/gen"
-	"dsplacer/internal/placer"
 )
 
 func main() {
@@ -52,7 +51,6 @@ func main() {
 	epochs := flag.Int("epochs", 40, "GCN training epochs for Fig 7 (paper: 300)")
 	mcfIters := flag.Int("mcf-iters", 50, "MCF iterations (paper: 50)")
 	rounds := flag.Int("rounds", 2, "incremental rounds")
-	gpEngine := flag.String("gp", "electrostatic", "global-placement engine: electrostatic or quadratic")
 	common := cli.RegisterCommon(flag.CommandLine, 1, "off")
 	flag.Parse()
 	stop := common.Start()
@@ -66,16 +64,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	var gp placer.GPMode
-	switch *gpEngine {
-	case "electrostatic", "electro":
-		gp = placer.ModeElectrostatic
-	case "quadratic", "quad":
-		gp = placer.ModeQuadratic
-	default:
-		cli.Fatal(fmt.Errorf("unknown -gp engine %q (want electrostatic or quadratic)", *gpEngine))
-	}
-
 	specs := gen.TableI()
 	if *mini {
 		specs = experiments.MiniSpecs()
@@ -83,7 +71,7 @@ func main() {
 	suite := experiments.NewSuite(specs)
 	cfg := experiments.TableIIConfig{
 		MCFIterations: *mcfIters, Rounds: *rounds, Lambda: 100, Seed: common.Seed,
-		Validate: common.Validate(), GP: gp,
+		Validate: common.Validate(),
 	}
 	f7 := experiments.Fig7Config{Epochs: *epochs, Seed: common.Seed}
 	w := os.Stdout

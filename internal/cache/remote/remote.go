@@ -18,6 +18,7 @@ package remote
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -174,6 +175,10 @@ func writeValue(w io.Writer, v []byte) error {
 	return err
 }
 
+// readValue reads one length-prefixed value. The length prefix comes from
+// the peer and is untrusted, so the buffer grows with the bytes that
+// actually arrive: a frame that claims a large value and then ends costs
+// what it sent, not what it claimed.
 func readValue(r io.Reader) ([]byte, error) {
 	var n [4]byte
 	if _, err := io.ReadFull(r, n[:]); err != nil {
@@ -183,11 +188,11 @@ func readValue(r io.Reader) ([]byte, error) {
 	if ln > maxValueLen {
 		return nil, fmt.Errorf("cache/remote: value length %d exceeds %d", ln, maxValueLen)
 	}
-	v := make([]byte, ln)
-	if _, err := io.ReadFull(r, v); err != nil {
+	var v bytes.Buffer
+	if _, err := io.CopyN(&v, r, int64(ln)); err != nil {
 		return nil, err
 	}
-	return v, nil
+	return v.Bytes(), nil
 }
 
 // Client reaches a remote Listener and implements cache.Store. The zero

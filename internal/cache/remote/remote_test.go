@@ -2,7 +2,9 @@ package remote
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -54,6 +56,25 @@ func TestEmptyValueAndOverwrite(t *testing.T) {
 	c.Put(k, []byte("v2"))
 	if v, ok := c.Get(k); !ok || string(v) != "v2" {
 		t.Fatalf("overwrite: %q %v", v, ok)
+	}
+}
+
+// TestTruncatedValueAllocatesWhatArrived: a frame whose length prefix
+// claims maxValueLen and is followed by EOF must fail without allocating
+// the claimed size. The listener's Put path and Client.Get both read values
+// through readValue.
+func TestTruncatedValueAllocatesWhatArrived(t *testing.T) {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], maxValueLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	v, err := readValue(bytes.NewReader(hdr[:]))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("truncated frame read as a %d-byte value", len(v))
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 64 {
+		t.Fatalf("truncated frame allocated %.1f MB, want < 64 MB", mb)
 	}
 }
 

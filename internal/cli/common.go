@@ -8,7 +8,7 @@ import (
 	"runtime/pprof"
 
 	"dsplacer/internal/core"
-	"dsplacer/internal/metrics"
+	"dsplacer/internal/stage"
 )
 
 // Common is the flag bundle every command shares: the stochastic seed, the
@@ -69,7 +69,7 @@ func (c *Common) Start() (stop func()) {
 		}
 		if c.stages {
 			fmt.Fprintf(os.Stdout, "\n================ Stage timings ================\n")
-			metrics.StageReport(os.Stdout)
+			stage.Report(os.Stdout)
 		}
 		if c.memprofile != "" {
 			f, err := os.Create(c.memprofile)

@@ -149,10 +149,6 @@ type Config struct {
 	// the full baseline budget); ReplaceGPIters is the shorter schedule of
 	// each incremental re-placement (default 6).
 	BaselineGPIters, PrototypeGPIters, ReplaceGPIters int
-	// GP selects the analytical global-placement engine for every placer
-	// invocation of the flow: the electrostatic Nesterov engine (default)
-	// or the legacy quadratic CG path, so suites can diff the engines.
-	GP placer.GPMode
 	// RouteOpts configures the global router.
 	RouteOpts route.Options
 	// Validate gates stage boundaries with drc.Check: ValidateOff (default)
@@ -222,8 +218,8 @@ type Profile struct {
 	Prototype  time.Duration // initial off-the-shelf placement
 	Extraction time.Duration // datapath DSP identification + DSP graph
 	DSPPlace   time.Duration // MCF assignment + cascade legalization
-	OtherPlace time.Duration // incremental re-placement of other components
-	Routing    time.Duration // global routing
+	OtherPlace time.Duration // incremental re-placement of other components and the timing polish
+	Routing    time.Duration // global routing and the final timing analysis
 	Total      time.Duration
 }
 
@@ -271,7 +267,7 @@ func Run(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Config)
 	// --- Prototype placement (off-the-shelf engine, no datapath info) ----
 	t0 := time.Now()
 	proto, err := placer.PlaceContext(ctx, dev, nl, placer.Options{Mode: placer.ModeVivado, Seed: cfg.Seed,
-		GPIterations: cfg.PrototypeGPIters, GP: cfg.GP, Stages: cfg.Stages})
+		GPIterations: cfg.PrototypeGPIters, Stages: cfg.Stages})
 	if err != nil {
 		return nil, stageErr("prototype placement", err)
 	}
@@ -364,7 +360,7 @@ func Run(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Config)
 		res, err := placer.PlaceContext(ctx, dev, nl, placer.Options{
 			Mode: placer.ModeDSPlacer, Seed: cfg.Seed + int64(round) + 1,
 			FixedSites: legal, GPIterations: cfg.ReplaceGPIters, Warm: pos,
-			GP: cfg.GP, Stages: cfg.Stages, DetailedPasses: detail,
+			Stages: cfg.Stages, DetailedPasses: detail,
 		})
 		if err != nil {
 			return nil, stageErr("incremental placement", err)
@@ -376,12 +372,14 @@ func Run(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Config)
 		}
 		profile.OtherPlace += time.Since(t3)
 	}
+	t3 := time.Now()
 	if err := timingPolish(dev, nl, pos, period, cfg.Seed); err != nil {
 		return nil, err
 	}
 	if err := gate.placement(ValidateFinal, "final", pos, siteOf); err != nil {
 		return nil, err
 	}
+	profile.OtherPlace += time.Since(t3)
 
 	// --- Routing + timing ----------------------------------------------------
 	if err := checkCtx(ctx, "dsplacer", "routing"); err != nil {
@@ -389,11 +387,11 @@ func Run(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Config)
 	}
 	t4 := time.Now()
 	rr := route.Route(dev, nl, pos, cfg.RouteOpts)
-	profile.Routing = time.Since(t4)
 	timing, err := sta.Analyze(nl, pos, sta.Options{ClockPeriodNs: period, Congestion: rr.NetCongestion})
 	if err != nil {
 		return nil, fmt.Errorf("core: STA: %w", err)
 	}
+	profile.Routing = time.Since(t4)
 	profile.Total = time.Since(total0)
 	recordProfile(cfg.Stages, profile)
 
@@ -443,7 +441,7 @@ func RunBaseline(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, mod
 	}
 	t0 := time.Now()
 	res, err := placer.PlaceContext(ctx, dev, nl, placer.Options{Mode: mode, Seed: cfg.Seed,
-		GPIterations: cfg.BaselineGPIters, GP: cfg.GP, Stages: cfg.Stages})
+		GPIterations: cfg.BaselineGPIters, Stages: cfg.Stages})
 	if err != nil {
 		return nil, stageErr(fmt.Sprintf("%v placement", mode), err)
 	}
@@ -463,7 +461,7 @@ func RunBaseline(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, mod
 		return nil, err
 	}
 	res, err = placer.PlaceContext(ctx, dev, nl, placer.Options{Mode: mode, Seed: cfg.Seed + 1,
-		GPIterations: cfg.ReplaceGPIters, Warm: res.Pos, GP: cfg.GP, Stages: cfg.Stages,
+		GPIterations: cfg.ReplaceGPIters, Warm: res.Pos, Stages: cfg.Stages,
 		DetailedPasses: 2})
 	if err != nil {
 		return nil, stageErr(fmt.Sprintf("%v refinement placement", mode), err)
@@ -481,11 +479,11 @@ func RunBaseline(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, mod
 	}
 	t1 := time.Now()
 	rr := route.Route(dev, nl, res.Pos, cfg.RouteOpts)
-	profile.Routing = time.Since(t1)
 	timing, err := sta.Analyze(nl, res.Pos, sta.Options{ClockPeriodNs: period, Congestion: rr.NetCongestion})
 	if err != nil {
 		return nil, fmt.Errorf("core: STA: %w", err)
 	}
+	profile.Routing = time.Since(t1)
 	profile.Total = time.Since(total0)
 	recordProfile(cfg.Stages, profile)
 
@@ -583,7 +581,7 @@ func RunRSAD(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Con
 	}
 	t0 := time.Now()
 	proto, err := placer.PlaceContext(ctx, dev, nl, placer.Options{Mode: placer.ModeVivado, Seed: cfg.Seed,
-		GPIterations: cfg.PrototypeGPIters, GP: cfg.GP, Stages: cfg.Stages})
+		GPIterations: cfg.PrototypeGPIters, Stages: cfg.Stages})
 	if err != nil {
 		return nil, stageErr("rsad prototype", err)
 	}
@@ -612,7 +610,7 @@ func RunRSAD(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Con
 	res, err := placer.PlaceContext(ctx, dev, nl, placer.Options{
 		Mode: placer.ModeDSPlacer, Seed: cfg.Seed + 1,
 		FixedSites: siteOf, GPIterations: cfg.ReplaceGPIters, Warm: proto.Pos,
-		GP: cfg.GP, Stages: cfg.Stages,
+		Stages: cfg.Stages,
 	})
 	if err != nil {
 		return nil, stageErr("rsad re-placement", err)
@@ -630,11 +628,11 @@ func RunRSAD(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Con
 	}
 	t3 := time.Now()
 	rr := route.Route(dev, nl, res.Pos, cfg.RouteOpts)
-	profile.Routing = time.Since(t3)
 	timing, err := sta.Analyze(nl, res.Pos, sta.Options{ClockPeriodNs: period, Congestion: rr.NetCongestion})
 	if err != nil {
 		return nil, fmt.Errorf("core: rsad STA: %w", err)
 	}
+	profile.Routing = time.Since(t3)
 	profile.Total = time.Since(total0)
 	recordProfile(cfg.Stages, profile)
 	return &Result{

@@ -99,6 +99,36 @@ func TestRunBaselines(t *testing.T) {
 	}
 }
 
+// TestProfileCoversTotal pins the Fig. 8 decomposition: the five buckets
+// must account for nearly all of a flow's wall time, so no stage (the timing
+// polish, the final STA) runs between the timers unattributed.
+func TestProfileCoversTotal(t *testing.T) {
+	dev, nl := miniSetup(t)
+	cfg := Config{ClockMHz: gen.Small().FreqMHz, MCFIterations: 8, Rounds: 1, Seed: 1}
+	ctx := context.Background()
+	flows := []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"dsplacer", func() (*Result, error) { return Run(ctx, dev, nl, cfg) }},
+		{"vivado", func() (*Result, error) { return RunBaseline(ctx, dev, nl, placer.ModeVivado, cfg) }},
+		{"rsad", func() (*Result, error) { return RunRSAD(ctx, dev, nl, cfg) }},
+	}
+	for _, f := range flows {
+		t.Run(f.name, func(t *testing.T) {
+			res, err := f.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := res.Profile
+			sum := p.Prototype + p.Extraction + p.DSPPlace + p.OtherPlace + p.Routing
+			if cover := sum.Seconds() / p.Total.Seconds(); cover < 0.95 {
+				t.Errorf("buckets cover %.1f%% of Total, want >= 95%%: %+v", 100*cover, p)
+			}
+		})
+	}
+}
+
 func TestWeightsRestoredAfterRun(t *testing.T) {
 	dev, nl := miniSetup(t)
 	before := make([]float64, len(nl.Nets))

@@ -41,10 +41,6 @@ type TableIIConfig struct {
 	// experiment runs (off by default: the experiments measure quality, and
 	// the integration tests already gate every stage).
 	Validate core.ValidateLevel
-	// GP selects the global-placement engine for every flow of every row
-	// (electrostatic by default), so the whole evaluation can be re-run
-	// against the legacy quadratic engine for an apples-to-apples diff.
-	GP placer.GPMode
 }
 
 func (c TableIIConfig) coreConfig(spec gen.Spec) core.Config {
@@ -55,7 +51,6 @@ func (c TableIIConfig) coreConfig(spec gen.Spec) core.Config {
 		Rounds:        c.Rounds,
 		Seed:          c.Seed + spec.Seed,
 		Validate:      c.Validate,
-		GP:            c.GP,
 	}
 }
 

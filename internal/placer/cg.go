@@ -2,9 +2,9 @@ package placer
 
 import "math"
 
-// Sparse symmetric positive-definite solver used by the quadratic placement
-// engine: Jacobi-preconditioned conjugate gradient over an adjacency-list
-// matrix representation.
+// Sparse symmetric positive-definite solver behind the cold-start
+// wirelength seed (solveQuadratic): Jacobi-preconditioned conjugate
+// gradient over an adjacency-list matrix representation.
 
 // spdMatrix is a symmetric matrix stored as diagonal + off-diagonal
 // adjacency lists; only the entries touching movable variables exist.

@@ -223,3 +223,13 @@ func clampF(v, lo, hi float64) float64 {
 	}
 	return v
 }
+
+// capacityEstimate approximates how many unit cells the fabric holds at a
+// routable utilization (CLB slots dominate; ~60% of peak density).
+func capacityEstimate(dev *fpga.Device) float64 {
+	total := 0.0
+	for i := range dev.Columns {
+		total += float64(dev.Columns[i].NumSites * dev.Columns[i].Capacity)
+	}
+	return total * 0.6
+}

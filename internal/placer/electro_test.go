@@ -60,37 +60,45 @@ func TestElectroRepeatableWithFrozenSeed(t *testing.T) {
 	}
 }
 
-// TestElectroQoRParityWithQuadratic checks the speed win does not buy a
-// quality loss on the engine's actual workload — a generated accelerator
-// netlist: cold placement must stay within tolerance of the quadratic
-// CG/B2B engine, and the incremental (warm) re-place — the flow's hot path,
-// where the Nesterov budget is a third of a cold run — must not lose to the
-// quadratic warm path at all.
+// Legal HPWL of the retired quadratic CG/B2B engine (GPIterations rounds
+// of solve + slab spreading with doubling anchors) on gen.Small, zcu104,
+// seed 5: cold from scratch, and warm from the electrostatic cold result
+// with its DSP sites fixed. Frozen at full float64 precision when that
+// engine was deleted.
+const (
+	quadraticColdHPWL = 4684.125
+	quadraticWarmHPWL = 4590.125
+)
+
+// TestElectroQoRParityWithQuadratic checks the electrostatic engine does not
+// lose quality against the quadratic CG/B2B engine it replaced, on the
+// engine's actual workload — a generated accelerator netlist: cold placement
+// must stay within tolerance of the quadratic result, and the incremental
+// (warm) re-place — the flow's hot path, where the Nesterov budget is half a
+// cold run — must not lose to the quadratic warm path at all.
 func TestElectroQoRParityWithQuadratic(t *testing.T) {
 	dev := fpga.NewZCU104()
 	nl, err := gen.Generate(gen.Small(), dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	place := func(gp GPMode, warm []geom.Point, fixed map[int]int) *Result {
+	place := func(warm []geom.Point, fixed map[int]int) *Result {
 		t.Helper()
-		res, err := Place(dev, nl, Options{Seed: 5, GP: gp, Warm: warm, FixedSites: fixed})
+		res, err := Place(dev, nl, Options{Seed: 5, Warm: warm, FixedSites: fixed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	e := place(ModeElectrostatic, nil, nil)
-	q := place(ModeQuadratic, nil, nil)
-	t.Logf("cold HPWL electrostatic %.1f, quadratic %.1f", e.HPWL, q.HPWL)
-	if e.HPWL > 1.20*q.HPWL {
-		t.Errorf("cold electrostatic HPWL %.1f worse than quadratic %.1f by >20%%", e.HPWL, q.HPWL)
+	e := place(nil, nil)
+	t.Logf("cold HPWL electrostatic %.1f, quadratic %.1f", e.HPWL, quadraticColdHPWL)
+	if e.HPWL > 1.20*quadraticColdHPWL {
+		t.Errorf("cold electrostatic HPWL %.1f worse than quadratic %.1f by >20%%", e.HPWL, quadraticColdHPWL)
 	}
-	ew := place(ModeElectrostatic, e.Pos, e.SiteOfDSP)
-	qw := place(ModeQuadratic, e.Pos, e.SiteOfDSP)
-	t.Logf("warm HPWL electrostatic %.1f, quadratic %.1f", ew.HPWL, qw.HPWL)
-	if ew.HPWL > 1.05*qw.HPWL {
-		t.Errorf("warm electrostatic HPWL %.1f worse than quadratic %.1f by >5%%", ew.HPWL, qw.HPWL)
+	ew := place(e.Pos, e.SiteOfDSP)
+	t.Logf("warm HPWL electrostatic %.1f, quadratic %.1f", ew.HPWL, quadraticWarmHPWL)
+	if ew.HPWL > 1.05*quadraticWarmHPWL {
+		t.Errorf("warm electrostatic HPWL %.1f worse than quadratic %.1f by >5%%", ew.HPWL, quadraticWarmHPWL)
 	}
 }
 

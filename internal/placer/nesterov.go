@@ -28,7 +28,6 @@ import (
 	"dsplacer/internal/fpga"
 	"dsplacer/internal/geom"
 	"dsplacer/internal/netlist"
-	"dsplacer/internal/pack"
 )
 
 // electroState carries the per-iteration vectors of the Nesterov loop.
@@ -45,27 +44,28 @@ type electroState struct {
 	overflowTarget float64
 }
 
-func runElectrostatic(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, pos []geom.Point, movable []bool, opt Options) error {
-	iters := opt.ElectroIterations
-	if iters <= 0 {
-		iters = 6 * opt.GPIterations
-	}
+// runElectrostatic places the movable cells of pos in place. seedCG caps
+// the CG steps of a cold start's wirelength seed.
+func runElectrostatic(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, pos []geom.Point, movable []bool, opt Options, seedCG int) error {
+	iters := 6 * opt.GPIterations
 	if opt.Warm == nil {
 		// Cold starts are seeded with one pure-wirelength B2B solve: the
 		// annealed schedule then only has to *spread* the clumped optimum,
-		// not discover the net topology from centroid jitter. Seeding is
-		// what lets the Nesterov budget sit an order of magnitude below the
-		// quadratic engine's solve-spread-resolve rounds: cells travel at
-		// most a cluster radius, so few bin-capped steps are needed.
-		solveQuadratic(nl, pos, movable, nil, 0, opt.CGIterations)
+		// not discover the net topology from centroid jitter. Cells then
+		// travel at most a cluster radius, so few bin-capped steps are
+		// needed.
+		solveQuadratic(nl, pos, movable, seedCG)
 		clampToDevice(dev, pos, movable)
 	}
-	s := newSOA(nl, pos, movable, opt.DataflowWeight)
-	d := newDensityGrid(dev, movable)
-	var pairing *pack.Pairing
-	if opt.Pack {
-		pairing = pack.Cluster(nl)
+	// The dataflow attraction is DSPlacer's alone: the Vivado/AMF
+	// personalities model datapath-oblivious tools, and Table II stops
+	// isolating DSP handling if they see the hierarchy.
+	dfW := 0.0
+	if opt.Mode == ModeDSPlacer {
+		dfW = 0.05
 	}
+	s := newSOA(nl, pos, movable, dfW)
+	d := newDensityGrid(dev, movable)
 
 	n := s.n
 	st := &electroState{
@@ -286,9 +286,6 @@ func runElectrostatic(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist
 		if movable[i] {
 			pos[i] = geom.Point{X: bestX[i], Y: bestY[i]}
 		}
-	}
-	if pairing != nil {
-		pairing.Fuse(pos)
 	}
 	clampToDevice(dev, pos, movable)
 	opt.Stages.Add("placer.gradient", st.gradT)

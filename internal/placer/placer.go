@@ -1,7 +1,8 @@
 // Package placer is the off-the-shelf FPGA placement engine the paper's
-// flow plugs into (and compares against): a wirelength-driven quadratic
-// analytical global placer (bound-to-bound net model, preconditioned CG,
-// slab-based spreading with growing pseudo-net anchors) followed by
+// flow plugs into (and compares against): a Nesterov electrostatic
+// analytical global placer of the ePlace/RePlAce family (WA wirelength,
+// multigrid density, dataflow attraction; nesterov.go), seeded on a cold
+// start by one bound-to-bound quadratic wirelength solve, followed by
 // resource-aware legalization onto the column-heterogeneous fabric.
 //
 // Three modes reproduce the three tools of Table II:
@@ -30,7 +31,6 @@ import (
 	"dsplacer/internal/geom"
 	"dsplacer/internal/metrics"
 	"dsplacer/internal/netlist"
-	"dsplacer/internal/pack"
 	"dsplacer/internal/stage"
 )
 
@@ -55,55 +55,14 @@ func (m Mode) String() string {
 	return "?"
 }
 
-// GPMode selects the analytical global-placement engine. It is orthogonal
-// to Mode: Mode picks the DSP-handling personality, GPMode picks the math
-// that produces the pre-legalization solution.
-type GPMode int
-
-const (
-	// ModeElectrostatic is the Nesterov-momentum electrostatic engine
-	// (WA wirelength + multigrid density + dataflow attraction) — the
-	// default.
-	ModeElectrostatic GPMode = iota
-	// ModeQuadratic is the legacy bound-to-bound quadratic CG engine with
-	// slab spreading, kept so suites can diff the engines.
-	ModeQuadratic
-)
-
-func (m GPMode) String() string {
-	switch m {
-	case ModeElectrostatic:
-		return "electrostatic"
-	case ModeQuadratic:
-		return "quadratic"
-	}
-	return "?"
-}
-
 // Options configures a placement run.
 type Options struct {
 	Mode Mode
-	// GP selects the global-placement engine: ModeElectrostatic (default)
-	// or the legacy ModeQuadratic CG/B2B path.
-	GP   GPMode
 	Seed int64
-	// GPIterations is the global-placement schedule length: the number of
-	// solve+spread rounds for ModeQuadratic, and the base the electrostatic
-	// iteration budget scales from (default 8).
+	// GPIterations is the base of the global-placement schedule: a cold
+	// run gets 6×GPIterations Nesterov iterations, a warm run half of that
+	// (default 8).
 	GPIterations int
-	// CGIterations caps conjugate-gradient steps per solve (default 80;
-	// ModeQuadratic only).
-	CGIterations int
-	// ElectroIterations caps the Nesterov iterations of the electrostatic
-	// engine (default 12×GPIterations).
-	ElectroIterations int
-	// DataflowWeight scales the electrostatic engine's dataflow attraction
-	// force. Zero defaults by personality: 0.05 for ModeDSPlacer (the
-	// paper's flow exploits the accelerator hierarchy), 0 for the
-	// Vivado/AMF personalities (they model datapath-oblivious tools, and
-	// Table II stops isolating DSP handling if they see the hierarchy).
-	// Callers can set it explicitly for any mode; negative disables it.
-	DataflowWeight float64
 	// Stages receives the run's per-phase timings (placer.gradient,
 	// placer.density, placer.global, placer.legalize). nil records into the
 	// process-wide default recorder.
@@ -111,9 +70,6 @@ type Options struct {
 	// FixedSites pins DSP cells to device DSP site indices (ModeDSPlacer:
 	// the datapath DSP result). These cells are immovable.
 	FixedSites map[int]int
-	// AnchorWeight is the initial pseudo-net weight; it doubles every
-	// spreading round (default 0.01).
-	AnchorWeight float64
 	// Warm optionally provides starting positions for movable cells
 	// (incremental placement); when nil, cells start near the fixed-cell
 	// centroid with seeded jitter.
@@ -122,28 +78,11 @@ type Options struct {
 	// moves/swaps of CLB-class cells); 0 disables it. DSP and BRAM sites
 	// are never touched, so DSPlacer's datapath result is preserved.
 	DetailedPasses int
-	// Pack enables LUT→FF pre-placement clustering: paired cells are fused
-	// to a common location after every quadratic solve, modeling slice
-	// packing.
-	Pack bool
 }
 
 func (o Options) withDefaults() Options {
 	if o.GPIterations == 0 {
 		o.GPIterations = 8
-	}
-	if o.CGIterations == 0 {
-		o.CGIterations = 80
-	}
-	if o.AnchorWeight == 0 {
-		o.AnchorWeight = 0.01
-	}
-	if o.DataflowWeight == 0 {
-		if o.Mode == ModeDSPlacer {
-			o.DataflowWeight = 0.05
-		}
-	} else if o.DataflowWeight < 0 {
-		o.DataflowWeight = 0
 	}
 	return o
 }
@@ -156,8 +95,6 @@ type Result struct {
 	SiteOfDSP map[int]int
 	// HPWL of the legal placement (unit net weights).
 	HPWL float64
-	// GlobalPos is the pre-legalization analytical solution (diagnostics).
-	GlobalPos []geom.Point
 	// Runtime decomposes into global placement and legalization.
 	GPTime, LegalTime time.Duration
 }
@@ -168,8 +105,7 @@ func Place(dev *fpga.Device, nl *netlist.Netlist, opt Options) (*Result, error) 
 }
 
 // PlaceContext is Place with cancellation: ctx is consulted every Nesterov
-// iteration (electrostatic engine) or every solve+spread round (quadratic
-// engine), so a canceled job aborts mid-placement rather than at the next
+// iteration, so a canceled job aborts mid-placement rather than at the next
 // stage boundary. The returned error keeps the context's error in its chain
 // for errors.Is.
 func PlaceContext(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, opt Options) (*Result, error) {
@@ -179,14 +115,12 @@ func PlaceContext(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, op
 	}
 
 	t0 := time.Now()
-	pos, _, err := globalPlace(ctx, dev, nl, opt)
+	pos, err := globalPlace(ctx, dev, nl, opt)
 	if err != nil {
 		return nil, err
 	}
 	gpTime := time.Since(t0)
 	opt.Stages.Add("placer.global", gpTime)
-	gpos := make([]geom.Point, len(pos))
-	copy(gpos, pos)
 
 	t1 := time.Now()
 	siteOfDSP, err := legalizeAll(dev, nl, pos, opt)
@@ -205,22 +139,20 @@ func PlaceContext(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, op
 		Pos:       pos,
 		SiteOfDSP: siteOfDSP,
 		HPWL:      metrics.HPWLUnit(nl, pos),
-		GlobalPos: gpos,
 		GPTime:    gpTime,
 		LegalTime: legalTime,
 	}, nil
 }
 
 // GlobalPlace runs only the analytical global-placement phase and returns
-// the pre-legalization positions — the surface the engine benchmarks diff;
+// the pre-legalization positions — the surface the engine benchmarks time;
 // PlaceContext feeds the identical positions into legalization.
 func GlobalPlace(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, opt Options) ([]geom.Point, error) {
 	opt = opt.withDefaults()
 	if err := validateOptions(dev, nl, opt); err != nil {
 		return nil, err
 	}
-	pos, _, err := globalPlace(ctx, dev, nl, opt)
-	return pos, err
+	return globalPlace(ctx, dev, nl, opt)
 }
 
 func validateOptions(dev *fpga.Device, nl *netlist.Netlist, opt Options) error {
@@ -240,29 +172,23 @@ func validateOptions(dev *fpga.Device, nl *netlist.Netlist, opt Options) error {
 	return nil
 }
 
-// globalPlace applies the Mode personality, dispatches to the selected
-// engine and returns the analytical positions plus the movable mask.
-func globalPlace(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, opt Options) ([]geom.Point, []bool, error) {
+// globalPlace applies the Mode personality, runs the electrostatic engine
+// and returns the analytical positions.
+func globalPlace(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, opt Options) ([]geom.Point, error) {
+	seedCG := 80
 	if opt.Mode == ModeAMF {
 		// AMF-Placer 2.0 is tuned for the VCU108; the paper observes its
 		// quality degrade on ZCU104. Model the mis-tuning as a shortened
 		// effective schedule (its spreading fights the unfamiliar column
 		// pattern) plus residual noise injected after GP (its packing/
 		// unpacking heuristics miss the device's site map). Its runtime
-		// cost shows up in extra CG work per round.
+		// cost shows up in extra CG work in the cold-start seed.
 		opt.GPIterations = (opt.GPIterations + 1) / 2
-		opt.CGIterations *= 5
+		seedCG *= 5
 	}
 	pos, movable := initialPositions(dev, nl, opt)
-	var err error
-	switch opt.GP {
-	case ModeQuadratic:
-		err = runGlobalPlacement(ctx, dev, nl, pos, movable, opt)
-	default:
-		err = runElectrostatic(ctx, dev, nl, pos, movable, opt)
-	}
-	if err != nil {
-		return nil, nil, err
+	if err := runElectrostatic(ctx, dev, nl, pos, movable, opt, seedCG); err != nil {
+		return nil, err
 	}
 	if opt.Mode == ModeAMF {
 		rng := rand.New(rand.NewSource(opt.Seed + 77))
@@ -273,7 +199,7 @@ func globalPlace(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, opt
 			}
 		}
 	}
-	return pos, movable, nil
+	return pos, nil
 }
 
 // initialPositions seeds every movable cell near the centroid of the fixed
@@ -324,46 +250,6 @@ func initialPositions(dev *fpga.Device, nl *netlist.Netlist, opt Options) ([]geo
 	return pos, movable
 }
 
-// runGlobalPlacement alternates quadratic solves with slab spreading,
-// anchoring cells to their spread targets with geometrically growing
-// weights (Kraftwerk/FastPlace style). ctx is consulted once per round.
-func runGlobalPlacement(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, pos []geom.Point, movable []bool, opt Options) error {
-	var pairing *pack.Pairing
-	if opt.Pack {
-		pairing = pack.Cluster(nl)
-	}
-	anchorW := opt.AnchorWeight
-	var targets []geom.Point
-	if opt.Warm != nil {
-		// Incremental mode: anchor the first solve to the warm positions at
-		// a mid-schedule weight, otherwise the unconstrained quadratic
-		// collapses the carried-over placement before spreading restarts.
-		targets = make([]geom.Point, len(pos))
-		copy(targets, pos)
-		anchorW = opt.AnchorWeight * 16
-	}
-	for it := 0; it < opt.GPIterations; it++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("placer: quadratic placement canceled at round %d/%d: %w", it, opt.GPIterations, err)
-		}
-		solveQuadratic(nl, pos, movable, targets, anchorW, opt.CGIterations)
-		if pairing != nil {
-			pairing.Fuse(pos)
-		}
-		clampToDevice(dev, pos, movable)
-		targets = spreadTargets(dev, nl, pos, movable)
-		anchorW *= 2
-	}
-	// Final solve against the last targets keeps density while recovering
-	// wirelength.
-	solveQuadratic(nl, pos, movable, targets, anchorW, opt.CGIterations)
-	if pairing != nil {
-		pairing.Fuse(pos)
-	}
-	clampToDevice(dev, pos, movable)
-	return nil
-}
-
 func clampToDevice(dev *fpga.Device, pos []geom.Point, movable []bool) {
 	for i := range pos {
 		if movable[i] {
@@ -374,11 +260,10 @@ func clampToDevice(dev *fpga.Device, pos []geom.Point, movable []bool) {
 }
 
 // solveQuadratic builds the bound-to-bound system for each axis on the
-// current positions and solves it by CG. Fixed cells contribute to the RHS;
-// targets (when non-nil) add anchor pseudo-nets.
-func solveQuadratic(nl *netlist.Netlist, pos []geom.Point, movable []bool,
-	targets []geom.Point, anchorW float64, cgIters int) {
-
+// current positions and solves it by at most cgIters CG steps: the
+// pure-wirelength optimum that seeds a cold electrostatic run. Fixed cells
+// contribute to the RHS.
+func solveQuadratic(nl *netlist.Netlist, pos []geom.Point, movable []bool, cgIters int) {
 	n := nl.NumCells()
 	// Dense→movable index mapping.
 	mIdx := make([]int32, n)
@@ -447,14 +332,12 @@ func solveQuadratic(nl *netlist.Netlist, pos []geom.Point, movable []bool,
 					hi = p
 				}
 			}
-			span := coord(hi) - coord(lo)
 			base := w * 2 / float64(k-1)
 			b2bw := func(a, b int) float64 {
 				d := math.Abs(coord(a) - coord(b))
 				if d < 1e-3 {
 					d = 1e-3
 				}
-				_ = span
 				return base / d
 			}
 			if lo != hi {
@@ -466,17 +349,6 @@ func solveQuadratic(nl *netlist.Netlist, pos []geom.Point, movable []bool,
 				}
 				stamp(p, lo, b2bw(p, lo))
 				stamp(p, hi, b2bw(p, hi))
-			}
-		}
-		if targets != nil && anchorW > 0 {
-			for i := 0; i < n; i++ {
-				if mi := mIdx[i]; mi >= 0 {
-					t := targets[i].X
-					if axis == 1 {
-						t = targets[i].Y
-					}
-					m.addAnchor(int(mi), anchorW, rhs, t)
-				}
 			}
 		}
 		m.solveCG(rhs, x, cgIters, 1e-4)

@@ -297,13 +297,3 @@ func TestDetailedPassImprovesOrMatches(t *testing.T) {
 		}
 	}
 }
-
-func TestPackOptionStaysLegal(t *testing.T) {
-	dev := testDevice(t)
-	nl := randomDesign(9, 100, 100, 6, 3, dev)
-	res, err := Place(dev, nl, Options{Mode: ModeVivado, Seed: 9, Pack: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkLegalPlacement(t, dev, nl, res)
-}

@@ -30,6 +30,11 @@ func TestRecorderIsolation(t *testing.T) {
 	if Default.Snapshot()["s"].Count != 0 {
 		t.Fatal("dedicated recorder leaked into Default")
 	}
+	defer Reset()
+	Add("default-only", time.Millisecond)
+	if _, ok := a.Snapshot()["default-only"]; ok {
+		t.Fatal("Default leaked into a dedicated recorder")
+	}
 }
 
 func TestNilRecorderDelegatesToDefault(t *testing.T) {
