@@ -1,7 +1,7 @@
 # Convenience targets mirroring the commands CI (and the tier-1 verify in
 # ROADMAP.md) runs. Everything is stdlib-only Go; no other tooling needed.
 
-.PHONY: build test ci fmt-check serve-smoke bench bench-smoke bench-module fuzz-smoke qor-smoke train-smoke profile
+.PHONY: build test ci fmt-check serve-smoke bench bench-smoke bench-module fuzz-smoke qor-smoke profile
 
 # Tier-1 verify (ROADMAP.md).
 test:
@@ -13,13 +13,13 @@ test:
 # benchmark so bench-only code (bench harnesses, solver warm-start paths)
 # cannot bit-rot unnoticed, a short run of every native fuzz target over
 # its seed corpus, a golden-QoR smoke on the smallest registered device,
-# an end-to-end smoke of the placement service, the cost-model training
-# determinism gate, and the benchmark module gate. The race suite runs in
-# two steps: every package but the root, then the root package alone. The
-# root package is the slowest under -race, and sharing the CPUs with the
-# other packages pushes it towards go test's default timeout.
+# an end-to-end smoke of the placement service, and the benchmark module
+# gate. The race suite runs in two steps: every package but the root, then
+# the root package alone. The root package is the slowest under -race, and
+# sharing the CPUs with the other packages pushes it towards go test's
+# default timeout.
 ci:
-	$(MAKE) fmt-check && go vet ./... && go test -race $$(go list ./... | grep -vx dsplacer) && go test -race . && $(MAKE) bench-smoke && $(MAKE) fuzz-smoke && $(MAKE) qor-smoke && $(MAKE) serve-smoke && $(MAKE) train-smoke && $(MAKE) bench-module
+	$(MAKE) fmt-check && go vet ./... && go test -race $$(go list ./... | grep -vx dsplacer) && go test -race . && $(MAKE) bench-smoke && $(MAKE) fuzz-smoke && $(MAKE) qor-smoke && $(MAKE) serve-smoke && $(MAKE) bench-module
 
 # Fail if any file is not gofmt-clean (gofmt -l prints offenders).
 fmt-check:
@@ -49,7 +49,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzSiteName$$' -fuzztime $(FUZZTIME) ./internal/xdc/
 	go test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime $(FUZZTIME) ./internal/gen/
 	go test -run '^$$' -fuzz '^FuzzNewDevice$$' -fuzztime $(FUZZTIME) ./internal/fpga/
-	go test -run '^$$' -fuzz '^FuzzCostModelJSON$$' -fuzztime $(FUZZTIME) ./internal/costmodel/
+	go test -run '^$$' -fuzz '^FuzzRemoteFrame$$' -fuzztime $(FUZZTIME) ./internal/cache/remote/
 
 # Golden-QoR smoke: run the frozen-seed regression harness on the smallest
 # registered device (every family, plus the drift-injection self-check).
@@ -58,12 +58,6 @@ fuzz-smoke:
 # envelopes after an intentional change: go test -run TestGoldenQoR -update .
 qor-smoke:
 	go test -run 'TestGoldenQoR/pynq-z2|TestGoldenQoRDetectsDrift' -v .
-
-# Cost-model training gate: regenerate a small frozen-seed corpus, train
-# twice, require byte-identical artifacts, and run one placement with the
-# model armed (both inference hooks live). Full training: go run ./cmd/train -cost
-train-smoke:
-	go run ./cmd/train -cost-smoke
 
 build:
 	go build ./...

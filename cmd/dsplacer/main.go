@@ -22,7 +22,6 @@ import (
 
 	"dsplacer/internal/cli"
 	"dsplacer/internal/core"
-	"dsplacer/internal/costmodel"
 	"dsplacer/internal/dspgraph"
 	"dsplacer/internal/features"
 	"dsplacer/internal/fpga"
@@ -43,7 +42,6 @@ func main() {
 	mcfIters := flag.Int("mcf-iters", 50, "MCF linearization iterations")
 	rounds := flag.Int("rounds", 2, "incremental placement rounds (Fig. 6)")
 	modelPath := flag.String("model", "", "trained GCN model (cmd/train) for datapath identification; default: generator ground truth")
-	costModelPath := flag.String("cost-model", "", "trained placement-cost model (cmd/train -cost) arming MCF early stop and candidate pruning; default: off")
 	svgPath := flag.String("svg", "", "write an SVG layout to this path")
 	ascii := flag.Bool("ascii", false, "print an ASCII layout")
 	congestion := flag.Bool("congestion", false, "print a routing congestion heatmap")
@@ -83,13 +81,6 @@ func main() {
 		}
 		cfg.Identifier = &core.GCNIdentifier{Model: model, FeatureCfg: features.Config{Seed: common.Seed + 13}}
 	}
-	if *costModelPath != "" {
-		cm, err := costmodel.LoadFile(*costModelPath)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		cfg.CostModel = cm
-	}
 
 	var res *core.Result
 	switch *flow {
@@ -124,11 +115,6 @@ func main() {
 		if res.AssignStopReason != "" {
 			report["assign_iterations"] = res.AssignIterations
 			report["assign_stop_reason"] = res.AssignStopReason
-			report["assign_pruned_arcs"] = res.AssignPrunedArcs
-			if cfg.CostModel != nil {
-				report["cost_model"] = cfg.CostModel.Fingerprint()
-				report["assign_pred_hpwl"] = res.AssignPredHPWL
-			}
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -149,11 +135,7 @@ func main() {
 		p.Total.Seconds(), p.Prototype.Seconds(), p.Extraction.Seconds(),
 		p.DSPPlace.Seconds(), p.OtherPlace.Seconds(), p.Routing.Seconds())
 	if res.AssignStopReason != "" {
-		fmt.Printf("assign   %d iterations, stop: %s", res.AssignIterations, res.AssignStopReason)
-		if cfg.CostModel != nil {
-			fmt.Printf(" (cost model %s, %d arcs pruned)", cfg.CostModel.Fingerprint(), res.AssignPrunedArcs)
-		}
-		fmt.Println()
+		fmt.Printf("assign   %d iterations, stop: %s\n", res.AssignIterations, res.AssignStopReason)
 	}
 
 	if *xdcPath != "" {

@@ -49,7 +49,6 @@ import (
 	"dsplacer/internal/cache"
 	"dsplacer/internal/cache/remote"
 	"dsplacer/internal/cli"
-	"dsplacer/internal/costmodel"
 	"dsplacer/internal/fpga"
 	"dsplacer/internal/gen"
 	"dsplacer/internal/jobs"
@@ -87,7 +86,6 @@ func main() {
 	cacheShards := flag.Int("cache-shards", 1, "shard the result cache N ways (1 = single LRU)")
 	cacheListen := flag.String("cache-listen", "", "serve the local result cache to peer daemons on this address")
 	cachePeers := flag.String("cache-peers", "", "comma-separated peer cache addresses to share placements with")
-	costModelPath := flag.String("cost-model", "", "trained placement-cost model (cmd/train -cost); jobs use it by default and may opt out per request with cost_model: \"off\"")
 	ttl := flag.Duration("ttl", 10*time.Minute, "terminal job retention before eviction")
 	drainGrace := flag.Duration("drain-grace", time.Minute, "max wait for in-flight jobs on shutdown")
 	smoke := flag.Bool("smoke", false, "run the in-process smoke test and exit")
@@ -115,15 +113,6 @@ func main() {
 	if err != nil {
 		stop()
 		cli.Fatal(err)
-	}
-	var costModel *costmodel.Model
-	if *costModelPath != "" {
-		costModel, err = costmodel.LoadFile(*costModelPath)
-		if err != nil {
-			stop()
-			cli.Fatal(err)
-		}
-		log.Printf("dsplacerd cost model %s loaded from %s", costModel.Fingerprint(), *costModelPath)
 	}
 
 	// The local store (optionally sharded) is what -cache-listen serves;
@@ -163,8 +152,7 @@ func main() {
 			Workers: *workers, QueueDepth: *queueDepth, ResultTTL: *ttl,
 			TenantQuota: *tenantQuota, TenantWeights: weights,
 		},
-		Cache:     store,
-		CostModel: costModel,
+		Cache: store,
 	})
 
 	if *smoke {

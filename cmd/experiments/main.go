@@ -9,7 +9,6 @@
 //	experiments -fig9 -out DIR     # Fig 9     layout visualizations (+SVG)
 //	experiments -ablations         # λ / MCF-iteration / filtering sweeps
 //	experiments -matrix            # device × family QoR matrix
-//	experiments -cost-compare cost.json   # Table II model-off vs model-on
 //	experiments -matrix -devices pynq-z2,zcu104   # subset of the device axis
 //	experiments -all               # everything above
 //	experiments -mini              # use ~1/16-scale benchmarks (fast)
@@ -28,7 +27,6 @@ import (
 	"strings"
 
 	"dsplacer/internal/cli"
-	"dsplacer/internal/costmodel"
 	"dsplacer/internal/experiments"
 	"dsplacer/internal/gen"
 )
@@ -43,7 +41,6 @@ func main() {
 	ablations := flag.Bool("ablations", false, "run the design-choice ablations")
 	extension := flag.Bool("extension", false, "run the R-SAD systolic-vs-diverse extension study")
 	matrix := flag.Bool("matrix", false, "run the device × family QoR matrix")
-	costCompare := flag.String("cost-compare", "", "run the Table II suite model-off vs model-on with this placement-cost model (cmd/train -cost)")
 	devices := flag.String("devices", "", "comma-separated device names for -matrix (default: every registered device)")
 	all := flag.Bool("all", false, "run everything")
 	mini := flag.Bool("mini", false, "use ~1/16-scale mini benchmarks")
@@ -59,7 +56,7 @@ func main() {
 	if *all {
 		*table1, *table2, *fig7a, *fig7b, *fig8, *fig9, *ablations, *extension, *matrix = true, true, true, true, true, true, true, true, true
 	}
-	if !(*table1 || *table2 || *fig7a || *fig7b || *fig8 || *fig9 || *ablations || *extension || *matrix || *costCompare != "") {
+	if !(*table1 || *table2 || *fig7a || *fig7b || *fig8 || *fig9 || *ablations || *extension || *matrix) {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -115,13 +112,6 @@ func main() {
 			devNames = strings.Split(*devices, ",")
 		}
 		_, err := experiments.QoRMatrix(w, devNames, gen.FamilySpecs(), cfg)
-		check(err)
-	}
-	if *costCompare != "" {
-		section(w, "Cost model off vs on")
-		m, err := costmodel.LoadFile(*costCompare)
-		check(err)
-		_, err = suite.CostModelCompare(w, m, cfg)
 		check(err)
 	}
 	if *ablations {

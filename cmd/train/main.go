@@ -7,8 +7,6 @@
 //	train -out model.json design1.json design2.json ...
 //	train -mini -out model.json           # train on built-in mini suite
 //	train -eval design.json -model model.json
-//	train -cost -out cost.json            # placement-cost model (device × family corpus)
-//	train -cost-smoke                     # deterministic-artifact CI gate
 package main
 
 import (
@@ -31,29 +29,10 @@ func main() {
 	epochs := flag.Int("epochs", 120, "training epochs")
 	evalPath := flag.String("eval", "", "evaluate -model on this netlist instead of training")
 	modelPath := flag.String("model", "", "model to evaluate (with -eval)")
-	cost := flag.Bool("cost", false, "train the placement-cost model instead of the GCN (writes to -out)")
-	costDevices := flag.String("cost-devices", "", "comma-separated device names for the cost corpus (default: every registered part)")
-	costIters := flag.Int("cost-iters", 12, "MCF iterations per cost-corpus run")
-	costRounds := flag.Int("cost-rounds", 1, "incremental rounds per cost-corpus run")
-	costRidge := flag.Float64("cost-ridge", 1e-2, "L2 penalty of the cost-model fit")
-	costSmoke := flag.Bool("cost-smoke", false, "CI gate: train the cost model twice on a tiny corpus, require byte-identical artifacts, run one placement with it")
 	common := cli.RegisterCommon(flag.CommandLine, 1, "off")
 	flag.Parse()
 	stop := common.Start()
 	defer stop()
-
-	if *costSmoke {
-		if err := runCostSmoke(common.Seed); err != nil {
-			cli.Fatal(err)
-		}
-		return
-	}
-	if *cost {
-		if err := runCostTrain(*out, *costDevices, *costIters, *costRounds, *costRidge, common.Seed); err != nil {
-			cli.Fatal(err)
-		}
-		return
-	}
 
 	fcfg := features.Config{Seed: common.Seed + 13}
 

@@ -10,9 +10,7 @@ package assign
 import (
 	"context"
 	"fmt"
-	"sort"
 
-	"dsplacer/internal/costmodel"
 	"dsplacer/internal/dspgraph"
 	"dsplacer/internal/fpga"
 	"dsplacer/internal/geom"
@@ -59,20 +57,20 @@ type Problem struct {
 	// costUpdate, flow, and the mcmf.* phases underneath); nil records into
 	// the process-wide default recorder.
 	Stages *stage.Recorder
+}
 
-	// CostModel, when non-nil, arms the learned inference hooks: early
-	// stopping of the linearize-and-solve loop and candidate-row pruning
-	// before the flow arcs are built. A nil model keeps the solve
-	// bit-identical to the unhooked loop.
-	CostModel *costmodel.Model
-	// CostOpts tunes the hooks; the zero value selects the documented
-	// conservative defaults. Ignored when CostModel is nil.
-	CostOpts costmodel.Options
-	// TraceRanks additionally records, per iteration, the worst cost-rank
-	// any winning site occupied in its candidate row (the PruneKeep
-	// training signal). Costs one extra scan per iteration; intended for
-	// corpus-generation runs, not production solves.
-	TraceRanks bool
+// IterStats is one row of the per-iteration convergence trace.
+type IterStats struct {
+	// Iter is 1-based.
+	Iter int `json:"iter"`
+	// Objective is the linearized min-cost-flow objective of the iterate.
+	Objective float64 `json:"objective"`
+	// MovedFrac is the fraction of DSPs whose site changed this iterate.
+	MovedFrac float64 `json:"moved_frac"`
+	// HPWL is the anchored datapath wirelength of the iterate: Σ over
+	// datapath DSPs of Σ over their net neighbors of weight·L1 distance
+	// (datapath–datapath edges counted from both ends).
+	HPWL float64 `json:"hpwl"`
 }
 
 // Result is the outcome of Solve.
@@ -87,20 +85,12 @@ type Result struct {
 	// Cost is the final linearized flow cost (diagnostic only).
 	Cost float64
 	// StopReason says why the loop ended: "converged" (fixed point or
-	// 2-cycle), "predicted-flat" (cost-model early stop) or "budget"
-	// (iteration cap hit).
+	// 2-cycle) or "budget" (iteration cap hit).
 	StopReason string
 	// Trace is the per-iteration convergence trace: one row per executed
-	// iterate with the linearized objective, moved fraction, anchored
-	// wirelength and cost terms. Always populated; rank stats only under
-	// TraceRanks.
-	Trace []costmodel.IterStats
-	// PredHPWL is the cost model's final-HPWL prediction at the last
-	// iterate it evaluated (0 when no model ran).
-	PredHPWL float64
-	// PrunedArcs counts DSP→site candidate arcs dropped by the learned
-	// pruning across all iterations.
-	PrunedArcs int
+	// iterate with the linearized objective, moved fraction and anchored
+	// wirelength.
+	Trace []IterStats
 }
 
 func (p *Problem) withDefaults() *Problem {
@@ -254,8 +244,7 @@ func Solve(ctx context.Context, p *Problem) (*Result, error) {
 	// anchoredHPWL is the L1 wirelength of the current iterate: every
 	// datapath DSP summed against its anchors (fixed cells at their
 	// placement, datapath neighbors at the iterate). The trace records it
-	// per iteration and the cost model's HPWL head is de-normalized
-	// through it.
+	// per iteration.
 	anchoredHPWL := func() float64 {
 		h := 0.0
 		for i := range nbrs {
@@ -274,11 +263,7 @@ func Solve(ctx context.Context, p *Problem) (*Result, error) {
 	}
 
 	res := &Result{SiteOf: make(map[int]int, N)}
-	kCand := p.Candidates
-	opts := p.CostOpts.WithDefaults()
 	var prevPrev []int // assignment two iterations ago, for 2-cycle detection
-	var firstObj, prevObj, firstHPWL, prevHPWL, prevMoved float64
-	stopper := costmodel.NewStopper(opts)
 
 	// The bipartite flow network is built once and kept alive across the
 	// linearize-and-solve iterations: each iterate only rewrites arc costs
@@ -291,14 +276,13 @@ func Solve(ctx context.Context, p *Problem) (*Result, error) {
 			return nil, fmt.Errorf("assign: canceled before iteration %d: %w", iter, err)
 		}
 		updateCascTargets()
-		assignment, cost, info, err := solveOnce(p, fn, sidx, locs, cosOf,
-			nbrs, lambdaCoeff, prevPos, prevSite, cascTarget, kCand, idx, iter, opts)
+		assignment, cost, err := solveOnce(p, fn, sidx, locs, cosOf,
+			nbrs, lambdaCoeff, prevPos, cascTarget, idx, iter)
 		if err != nil {
 			return nil, err
 		}
 		res.Cost = cost
 		res.Iterations = iter
-		res.PrunedArcs += info.prunedArcs
 		changed := 0
 		cycle := prevPrev != nil
 		for i, j := range assignment {
@@ -315,40 +299,10 @@ func Solve(ctx context.Context, p *Problem) (*Result, error) {
 			prevPos[i] = locs[j]
 		}
 
-		// Per-iteration convergence trace: every signal here is either
-		// already computed (objective, moved count) or one linear pass
-		// (anchored HPWL, cos/cascade terms) over state the iterate holds.
-		moved := float64(changed) / float64(N)
-		hpwl := anchoredHPWL()
-		cosCost := 0.0
-		for i, j := range prevSite {
-			cosCost += lambdaCoeff[i] * cosOf[j]
-		}
-		cascDist, cascN := 0.0, 0
-		for i, ct := range cascTarget {
-			if ct != nil {
-				cascDist += prevPos[i].Manhattan(*ct)
-				cascN++
-			}
-		}
-		if cascN > 0 {
-			cascDist /= float64(cascN)
-		}
-		if iter == 1 {
-			firstObj, firstHPWL = cost, hpwl
-			prevObj, prevHPWL, prevMoved = cost, hpwl, moved
-		}
-		st := costmodel.IterStats{
-			Iter: iter, Budget: p.Iterations,
-			DSPs: N, Sites: M, CandTotal: info.candTotal,
-			Objective: cost, FirstObjective: firstObj, PrevObjective: prevObj,
-			MovedFrac: moved, PrevMovedFrac: prevMoved,
-			HPWL: hpwl, FirstHPWL: firstHPWL, PrevHPWL: prevHPWL,
-			CosCost: cosCost, CascadeDist: cascDist,
-			WinnerRankFrac: info.maxRankFrac,
-		}
-		res.Trace = append(res.Trace, st)
-		prevObj, prevHPWL, prevMoved = cost, hpwl, moved
+		res.Trace = append(res.Trace, IterStats{
+			Iter: iter, Objective: cost,
+			MovedFrac: float64(changed) / float64(N), HPWL: anchoredHPWL(),
+		})
 
 		if float64(changed) <= p.ConvergedFrac*float64(N) || cycle {
 			// Fixed point (within tolerance), or a period-2 oscillation of
@@ -356,21 +310,6 @@ func Solve(ctx context.Context, p *Problem) (*Result, error) {
 			res.Converged = true
 			res.StopReason = "converged"
 			break
-		}
-
-		// Learned early stop (costmodel.Stopper: windowed-min flatness of
-		// both the final-HPWL prediction and the observed anchored HPWL,
-		// churn veto, MinIters floor): once it fires, the remaining
-		// linearize-and-solve budget is predicted to buy nothing.
-		if p.CostModel != nil && !opts.DisableEarlyStop {
-			stopPred := p.Stages.Start("costmodel.predict")
-			pred := p.CostModel.Predict(st)
-			stopPred()
-			res.PredHPWL = pred.HPWL
-			if stopper.Observe(iter, moved, hpwl, pred.HPWL) {
-				res.StopReason = "predicted-flat"
-				break
-			}
 		}
 	}
 	if res.StopReason == "" {
@@ -380,10 +319,6 @@ func Solve(ctx context.Context, p *Problem) (*Result, error) {
 		res.SiteOf[c] = prevSite[i]
 	}
 	p.Stages.AddN("assign.iterations", int64(res.Iterations))
-	p.Stages.AddN("assign.prunedArcs", int64(res.PrunedArcs))
-	if res.StopReason == "predicted-flat" {
-		p.Stages.AddN("assign.earlyStops", 1)
-	}
 	return res, nil
 }
 
@@ -478,16 +413,6 @@ func (fn *flowNet) update(cands [][]int, costs [][]float64) {
 	}
 }
 
-// iterInfo carries one iteration's bookkeeping out of solveOnce: the live
-// arc count of the solved network, the arcs the learned pruning dropped,
-// and (under TraceRanks) the worst cost-rank any winning site occupied in
-// its candidate row.
-type iterInfo struct {
-	candTotal   int
-	prunedArcs  int
-	maxRankFrac float64
-}
-
 // solveOnce solves one linearized min-cost-flow assignment over the live
 // network. The per-cell candidate selection and cost rows are computed in
 // parallel (each cell's row depends only on that cell), then the network
@@ -495,14 +420,12 @@ type iterInfo struct {
 // independent of the worker count.
 func solveOnce(p *Problem, fn *flowNet, sidx *siteIndex, locs []geom.Point, cosOf []float64,
 	nbrs [][]neighbor, lambdaCoeff []float64, prevPos []geom.Point,
-	prevSite []int, cascTarget []*geom.Point, kCand int, idx map[int]int, iter int,
-	opts costmodel.Options) ([]int, float64, iterInfo, error) {
+	cascTarget []*geom.Point, idx map[int]int, iter int) ([]int, float64, error) {
 
 	N := fn.N
 	M := fn.M
-	usePrune := p.CostModel != nil && !opts.DisablePrune
 
-	for {
+	for kCand := p.Candidates; ; kCand *= 2 {
 		if kCand > M {
 			kCand = M
 		}
@@ -517,13 +440,6 @@ func solveOnce(p *Problem, fn *flowNet, sidx *siteIndex, locs []geom.Point, cosO
 			return row
 		})
 		stopCand()
-		var info iterInfo
-		if usePrune {
-			info.prunedArcs = pruneCandidates(opts, p.CostModel, cands, costs, prevSite)
-		}
-		for i := range cands {
-			info.candTotal += len(cands[i])
-		}
 		stopUpd := p.Stages.Start("assign.costUpdate")
 		fn.update(cands, costs)
 		stopUpd()
@@ -547,117 +463,15 @@ func solveOnce(p *Problem, fn *flowNet, sidx *siteIndex, locs []geom.Point, cosO
 			}
 			for i, j := range assignment {
 				if j < 0 {
-					return nil, 0, info, fmt.Errorf("assign: DSP %d unassigned despite full flow", p.DSPs[i])
+					return nil, 0, fmt.Errorf("assign: DSP %d unassigned despite full flow", p.DSPs[i])
 				}
 			}
-			if p.TraceRanks {
-				info.maxRankFrac = winnerRankFrac(cands, costs, assignment)
-			}
-			return assignment, cost, info, nil
-		}
-		if usePrune {
-			// The truncated candidate rows starved the flow — retry this
-			// kCand with the full rows before growing the candidate sets.
-			usePrune = false
-			continue
+			return assignment, cost, nil
 		}
 		if kCand == M {
-			return nil, 0, info, fmt.Errorf("assign: no perfect assignment with full candidate set (flow %d < %d)", flow, N)
-		}
-		kCand *= 2
-	}
-}
-
-// pruneCandidates truncates each cost-sorted candidate row to the model's
-// learned keep quantile before the flow arcs are built, preserving the
-// row's original order (so the surviving arc set is independent of the
-// sort) and always retaining the DSP's previous site as a feasibility
-// anchor. Returns the number of arcs dropped.
-func pruneCandidates(opts costmodel.Options, m *costmodel.Model,
-	cands [][]int, costs [][]float64, prevSite []int) int {
-
-	pruned := 0
-	var order []int
-	var keepMark []bool
-	for i := range cands {
-		row, cr := cands[i], costs[i]
-		keep := opts.Keep(m, len(row))
-		if keep >= len(row) {
-			continue
-		}
-		order = order[:0]
-		for x := range row {
-			order = append(order, x)
-		}
-		sort.Slice(order, func(a, b int) bool {
-			xa, xb := order[a], order[b]
-			if cr[xa] != cr[xb] {
-				return cr[xa] < cr[xb]
-			}
-			return row[xa] < row[xb]
-		})
-		if cap(keepMark) < len(row) {
-			keepMark = make([]bool, len(row))
-		}
-		keepMark = keepMark[:len(row)]
-		for x := range keepMark {
-			keepMark[x] = false
-		}
-		for _, x := range order[:keep] {
-			keepMark[x] = true
-		}
-		// Keep the previous site even when it ranks poorly: it guarantees
-		// the flow can always reproduce the last feasible assignment.
-		if ps := prevSite[i]; ps >= 0 {
-			for x, j := range row {
-				if j == ps {
-					keepMark[x] = true
-					break
-				}
-			}
-		}
-		w := 0
-		for x := range row {
-			if keepMark[x] {
-				row[w], cr[w] = row[x], cr[x]
-				w++
-			}
-		}
-		pruned += len(row) - w
-		cands[i], costs[i] = row[:w], cr[:w]
-	}
-	return pruned
-}
-
-// winnerRankFrac scans the solved assignment against the candidate rows
-// and returns the worst rank fraction any winning site occupied in its
-// cost-sorted row — the PruneKeep training signal: truncating every row at
-// this fraction would have changed nothing this iteration.
-func winnerRankFrac(cands [][]int, costs [][]float64, assignment []int) float64 {
-	worst := 0.0
-	for i, j := range assignment {
-		row, cr := cands[i], costs[i]
-		wx := -1
-		for x, s := range row {
-			if s == j {
-				wx = x
-				break
-			}
-		}
-		if wx < 0 {
-			continue
-		}
-		rank := 0
-		for x := range row {
-			if cr[x] < cr[wx] || (cr[x] == cr[wx] && row[x] < row[wx]) {
-				rank++
-			}
-		}
-		if f := float64(rank+1) / float64(len(row)); f > worst {
-			worst = f
+			return nil, 0, fmt.Errorf("assign: no perfect assignment with full candidate set (flow %d < %d)", flow, N)
 		}
 	}
-	return worst
 }
 
 // siteIndex bundles the spatial grid over the DSP-site locations with the

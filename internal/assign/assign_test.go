@@ -118,6 +118,14 @@ func TestConvergence(t *testing.T) {
 	if res.Iterations >= 50 {
 		t.Fatalf("converged flag set but used all iterations")
 	}
+	if len(res.Trace) != res.Iterations {
+		t.Fatalf("%d trace rows for %d iterations", len(res.Trace), res.Iterations)
+	}
+	for k, row := range res.Trace {
+		if row.Iter != k+1 {
+			t.Fatalf("trace row %d has Iter %d, want %d", k, row.Iter, k+1)
+		}
+	}
 }
 
 func TestLambdaOrdersDatapath(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"dsplacer/internal/assign"
-	"dsplacer/internal/costmodel"
 	"dsplacer/internal/detailed"
 	"dsplacer/internal/dspgraph"
 	"dsplacer/internal/features"
@@ -162,17 +161,6 @@ type Config struct {
 	// process-wide default recorder; concurrent jobs pass their own
 	// recorder so timings stay isolated per run.
 	Stages *stage.Recorder
-	// CostModel, when non-nil, arms the learned MCF hooks (early stop of
-	// the assignment loop, candidate pruning) inside every assign.Solve of
-	// the flow. Off (nil) by default: the flow is then bit-identical to a
-	// build without the cost model.
-	CostModel *costmodel.Model
-	// CostModelOpts tunes the hooks; zero value = documented defaults.
-	CostModelOpts costmodel.Options
-	// TraceAssign additionally records winner-rank statistics in the
-	// assignment trace (the PruneKeep training signal). Corpus-generation
-	// runs set it; production flows leave it off.
-	TraceAssign bool
 	// corruptHook is test-only fault injection: when non-nil it may mutate
 	// the stage artifact just before each gate runs, so tests can prove
 	// corruption surfaces as a stage-tagged error end to end.
@@ -236,17 +224,13 @@ type Result struct {
 	Profile      Profile
 	// AssignIterations is the total MCF-loop iteration count across all
 	// incremental rounds; AssignStopReason is the last round's stop reason
-	// ("converged", "predicted-flat" or "budget") and AssignPredHPWL the
-	// cost model's final-HPWL prediction there (0 without a model).
-	// AssignPrunedArcs counts candidate arcs the learned pruning dropped.
+	// ("converged" or "budget").
 	AssignIterations int
 	AssignStopReason string
-	AssignPredHPWL   float64
-	AssignPrunedArcs int
 	// AssignTrace concatenates the per-iteration convergence traces of
-	// every round. It feeds corpus generation and the trace endpoints but
-	// stays out of the JSON form, keeping cached outcomes slim.
-	AssignTrace []costmodel.IterStats `json:"-"`
+	// every round. It feeds the job document's trace but stays out of the
+	// JSON form, keeping cached outcomes slim.
+	AssignTrace []assign.IterStats `json:"-"`
 }
 
 // Run executes the complete DSPlacer flow on nl. ctx is consulted at every
@@ -312,10 +296,9 @@ func Run(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Config)
 	// --- Incremental datapath-driven placement (Fig. 6) --------------------
 	pos := proto.Pos
 	var siteOf map[int]int
-	var assignIters, assignPruned int
+	var assignIters int
 	var assignStop string
-	var assignPred float64
-	var assignTrace []costmodel.IterStats
+	var assignTrace []assign.IterStats
 	for round := 0; round < cfg.Rounds; round++ {
 		if err := checkCtx(ctx, "dsplacer", fmt.Sprintf("assign[%d]", round)); err != nil {
 			return nil, err
@@ -325,17 +308,13 @@ func Run(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Config)
 		ar, err := assign.Solve(ctx, &assign.Problem{
 			Device: dev, Netlist: nl, Graph: dg, DSPs: datapath, Pos: pos,
 			Lambda: cfg.Lambda, Eta: cfg.Eta, Iterations: cfg.MCFIterations,
-			Stages:    cfg.Stages,
-			CostModel: cfg.CostModel, CostOpts: cfg.CostModelOpts,
-			TraceRanks: cfg.TraceAssign,
+			Stages: cfg.Stages,
 		})
 		if err != nil {
 			return nil, stageErr("MCF assignment", err)
 		}
 		assignIters += ar.Iterations
-		assignPruned += ar.PrunedArcs
 		assignStop = ar.StopReason
-		assignPred = ar.PredHPWL
 		assignTrace = append(assignTrace, ar.Trace...)
 		legal, err := legalize.Legalize(dev, nl, ar.SiteOf, legalize.Options{})
 		if err != nil {
@@ -395,18 +374,6 @@ func Run(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Config)
 	profile.Total = time.Since(total0)
 	recordProfile(cfg.Stages, profile)
 
-	finalHPWL := metrics.HPWLUnit(nl, pos)
-	if cfg.CostModel != nil && assignPred > 0 && finalHPWL > 0 {
-		// Predicted-vs-actual error, folded into the recorder's seconds
-		// scale (1s == 100% relative error) so the existing stage
-		// histograms in /metrics show the error distribution per job.
-		relErr := assignPred/finalHPWL - 1
-		if relErr < 0 {
-			relErr = -relErr
-		}
-		cfg.Stages.Add("costmodel.hpwlRelErr", time.Duration(relErr*float64(time.Second)))
-	}
-
 	return &Result{
 		Flow:             "dsplacer",
 		Pos:              pos,
@@ -414,14 +381,12 @@ func Run(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Config)
 		DatapathDSPs:     datapath,
 		WNS:              timing.WNS,
 		TNS:              timing.TNS,
-		HPWL:             finalHPWL,
+		HPWL:             metrics.HPWLUnit(nl, pos),
 		RoutedWL:         rr.Wirelength,
 		Overflow:         rr.OverflowEdges,
 		Profile:          profile,
 		AssignIterations: assignIters,
 		AssignStopReason: assignStop,
-		AssignPredHPWL:   assignPred,
-		AssignPrunedArcs: assignPruned,
 		AssignTrace:      assignTrace,
 	}, nil
 }

@@ -89,39 +89,45 @@ func TestRequestKeyExcludesTenant(t *testing.T) {
 	s := New(Config{})
 	defer s.Shutdown(context.Background())
 	req := PlaceRequest{Netlist: []byte(`{"cells":[],"nets":[]}`), Seed: 1}
-	k := s.requestKey(req, s.dev, "dsplacer", core.ValidateOff, "off")
-	if again := s.requestKey(req, s.dev, "dsplacer", core.ValidateOff, "off"); again != k {
+	k := s.requestKey(req, s.dev, "dsplacer", core.ValidateOff)
+	if again := s.requestKey(req, s.dev, "dsplacer", core.ValidateOff); again != k {
 		t.Fatal("same inputs produced a different key")
 	}
 	req2 := req
 	req2.Tenant = "acme"
-	if s.requestKey(req2, s.dev, "dsplacer", core.ValidateOff, "off") != k {
+	if s.requestKey(req2, s.dev, "dsplacer", core.ValidateOff) != k {
 		t.Fatal("tenant leaked into the cache key")
 	}
 }
 
-// Clients may still send a "features" field. It must neither fail the
-// request nor split the cache: the daemon's flows extract no features, so
-// two requests that differ only in it are the same placement and share one
-// cache entry.
+// Clients may still send the retired "features" and "cost_model" fields.
+// They must neither fail the request nor split the cache: the daemon's
+// flows extract no features and run no cost model, so requests that differ
+// only in them are the same placement and share one cache entry.
 func TestFeaturesFieldSharesCacheEntry(t *testing.T) {
 	env := startServer(t, Config{})
 	nlData := smallNetlistJSON(t, 25)
-	for i, features := range []string{"exact", "gsp"} {
-		id, status := env.submit(t, map[string]any{
+	for i, retired := range []map[string]string{
+		{"features": "exact"}, {"features": "gsp"},
+		{"cost_model": "on"}, {"cost_model": "off"},
+	} {
+		req := map[string]any{
 			"netlist":   json.RawMessage(nlData),
 			"mcf_iters": 4, "rounds": 1, "seed": 1,
-			"features": features,
-		})
+		}
+		for field, v := range retired {
+			req[field] = v
+		}
+		id, status := env.submit(t, req)
 		if status != http.StatusAccepted {
-			t.Fatalf("submit with features %q: status %d", features, status)
+			t.Fatalf("submit with %v: status %d", retired, status)
 		}
 		doc := env.pollUntil(t, id, terminal)
 		if doc.State != "done" {
-			t.Fatalf("job with features %q: state %s (error %q)", features, doc.State, doc.Error)
+			t.Fatalf("job with %v: state %s (error %q)", retired, doc.State, doc.Error)
 		}
 		if want := i > 0; doc.Result.Cached != want {
-			t.Fatalf("job with features %q: cached %v, want %v", features, doc.Result.Cached, want)
+			t.Fatalf("job with %v: cached %v, want %v", retired, doc.Result.Cached, want)
 		}
 	}
 	if got := env.srv.runs.Load(); got != 1 {
@@ -174,7 +180,7 @@ func TestSingleFlightFollowerSurvivesLeaderCancel(t *testing.T) {
 	s := New(Config{})
 	defer s.Shutdown(context.Background())
 	nlData := smallNetlistJSON(t, 73)
-	key := s.requestKey(PlaceRequest{Netlist: nlData}, s.dev, "dsplacer", core.ValidateOff, "off")
+	key := s.requestKey(PlaceRequest{Netlist: nlData}, s.dev, "dsplacer", core.ValidateOff)
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	started := make(chan struct{})
@@ -312,7 +318,7 @@ func TestTerminalJobKeepsOnlyDocument(t *testing.T) {
 	// What the hits decode, and so what a scheduler that kept their
 	// outcomes would retain.
 	key := env.srv.requestKey(PlaceRequest{Netlist: smallNetlistJSON(t, 91)}, env.srv.dev,
-		"dsplacer", core.ValidateOff, "off")
+		"dsplacer", core.ValidateOff)
 	before := heap()
 	decoded := make([]*outcome, hits)
 	for i := range decoded {

@@ -34,9 +34,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dsplacer/internal/assign"
 	"dsplacer/internal/cache"
 	"dsplacer/internal/core"
-	"dsplacer/internal/costmodel"
 	"dsplacer/internal/fpga"
 	"dsplacer/internal/jobs"
 	"dsplacer/internal/metrics"
@@ -60,13 +60,6 @@ type Config struct {
 	// a Sharded store, or a Peered composition reaching other daemons
 	// through cache/remote clients. CacheSize is ignored when set.
 	Cache cache.Store
-
-	// CostModel, when non-nil, is the daemon's learned placement-cost
-	// model (dsplacerd -cost-model): jobs use it by default, a request's
-	// cost_model field can force it "off" per job, and the model's
-	// fingerprint joins the cache key so cached placements never cross
-	// model versions (or model-on/model-off configurations).
-	CostModel *costmodel.Model
 }
 
 // scheduler is the slice of *jobs.Scheduler the server uses; tests inject
@@ -81,13 +74,12 @@ type scheduler interface {
 
 // Server is the dsplacerd request handler plus its scheduler and cache.
 type Server struct {
-	dev       *fpga.Device
-	sched     scheduler
-	cache     cache.Store
-	peered    *cache.Peered // non-nil when the store is peered, for /metrics
-	mux       *http.ServeMux
-	maxBody   int64
-	costModel *costmodel.Model
+	dev     *fpga.Device
+	sched   scheduler
+	cache   cache.Store
+	peered  *cache.Peered // non-nil when the store is peered, for /metrics
+	mux     *http.ServeMux
+	maxBody int64
 
 	draining atomic.Bool
 	runs     atomic.Int64 // placements actually computed (cache misses)
@@ -123,17 +115,16 @@ func New(cfg Config) *Server {
 		eventTTL = 10 * time.Minute // mirror the scheduler's ResultTTL default
 	}
 	s := &Server{
-		dev:       dev,
-		sched:     jobs.New(cfg.Jobs),
-		cache:     store,
-		mux:       http.NewServeMux(),
-		maxBody:   maxBody,
-		costModel: cfg.CostModel,
-		flights:   make(map[cache.Key]*flight),
-		hubs:      make(map[string]*hub),
-		eventTTL:  eventTTL,
-		hist:      make(map[string]*metrics.Histogram),
-		counts:    make(map[string]int64),
+		dev:      dev,
+		sched:    jobs.New(cfg.Jobs),
+		cache:    store,
+		mux:      http.NewServeMux(),
+		maxBody:  maxBody,
+		flights:  make(map[cache.Key]*flight),
+		hubs:     make(map[string]*hub),
+		eventTTL: eventTTL,
+		hist:     make(map[string]*metrics.Histogram),
+		counts:   make(map[string]int64),
 	}
 	if p, ok := store.(*cache.Peered); ok {
 		s.peered = p
@@ -179,12 +170,6 @@ type PlaceRequest struct {
 	Device string `json:"device,omitempty"`
 	// Validate is the stage-boundary DRC gating level: off, final or stages.
 	Validate string `json:"validate,omitempty"`
-	// CostModel selects the learned placement-cost model for this job:
-	// "" (server default — the daemon's -cost-model artifact when loaded,
-	// otherwise off), "on" (require the daemon's model; 400 when none is
-	// loaded) or "off" (force the hooks off). The resolved model's
-	// fingerprint is part of the cache key.
-	CostModel string `json:"cost_model,omitempty"`
 	// Tenant selects the fair-share queue this job is charged to; empty
 	// means the default tenant. It does NOT affect the cache key — identical
 	// requests from different tenants share one cached placement.
@@ -218,21 +203,18 @@ type ResultDoc struct {
 	Cached       bool               `json:"cached"`
 	StagesS      map[string]float64 `json:"stages_s,omitempty"`
 	// AssignIterations/AssignStopReason report the MCF loop's length and
-	// why it ended ("converged", "predicted-flat", "budget"); baseline
-	// flows, which run no assignment, omit them.
+	// why it ended ("converged" or "budget"); baseline flows, which run no
+	// assignment, omit them.
 	AssignIterations int    `json:"assign_iterations,omitempty"`
 	AssignStopReason string `json:"assign_stop_reason,omitempty"`
-	// CostModel is the fingerprint of the model that ran (empty when off);
-	// PrunedArcs and PredHPWL report its pruning and last prediction.
-	CostModel  string  `json:"cost_model,omitempty"`
-	PrunedArcs int     `json:"assign_pruned_arcs,omitempty"`
-	PredHPWL   float64 `json:"assign_pred_hpwl,omitempty"`
 	// AssignTrace is the per-iteration convergence trace of the MCF loop:
 	// objective, moved fraction and anchored-HPWL delta per iterate.
 	AssignTrace []TraceRowDoc `json:"assign_trace,omitempty"`
 }
 
 // TraceRowDoc is one compact convergence-trace row of a ResultDoc.
+// HPWLDelta is the previous row's anchored HPWL minus this row's, and 0 on
+// the first row of each round.
 type TraceRowDoc struct {
 	Iter      int     `json:"iter"`
 	Objective float64 `json:"objective"`
@@ -241,12 +223,10 @@ type TraceRowDoc struct {
 }
 
 // outcome is what a job fn returns: the core result plus the per-job stage
-// timing snapshot it was computed under, and the fingerprint of the cost
-// model that ran (empty when the hooks were off).
+// timing snapshot it was computed under.
 type outcome struct {
 	res    *core.Result
 	stages map[string]stage.Stat
-	costFP string
 	cached bool
 }
 
@@ -259,13 +239,11 @@ type outcome struct {
 type storedOutcome struct {
 	Res    *core.Result          `json:"res"`
 	Stages map[string]stage.Stat `json:"stages,omitempty"`
-	Trace  []costmodel.IterStats `json:"trace,omitempty"`
-	CostFP string                `json:"cost_fp,omitempty"`
+	Trace  []assign.IterStats    `json:"trace,omitempty"`
 }
 
 func encodeOutcome(o *outcome) ([]byte, bool) {
-	b, err := json.Marshal(storedOutcome{Res: o.res, Stages: o.stages,
-		Trace: o.res.AssignTrace, CostFP: o.costFP})
+	b, err := json.Marshal(storedOutcome{Res: o.res, Stages: o.stages, Trace: o.res.AssignTrace})
 	return b, err == nil
 }
 
@@ -277,7 +255,7 @@ func decodeOutcome(b []byte) (*outcome, bool) {
 		return nil, false
 	}
 	so.Res.AssignTrace = so.Trace
-	return &outcome{res: so.Res, stages: so.Stages, costFP: so.CostFP}, true
+	return &outcome{res: so.Res, stages: so.Stages}, true
 }
 
 // flight is one in-progress placement for a cache key. Followers wait on
@@ -352,31 +330,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var cm *costmodel.Model
-	switch req.CostModel {
-	case "":
-		cm = s.costModel
-	case "on":
-		if s.costModel == nil {
-			httpError(w, http.StatusBadRequest, `cost_model "on" but no model loaded (start dsplacerd with -cost-model)`)
-			return
-		}
-		cm = s.costModel
-	case "off":
-	default:
-		httpError(w, http.StatusBadRequest, `unknown cost_model %q (want "", "on" or "off")`, req.CostModel)
-		return
-	}
-	costFP := "off"
-	if cm != nil {
-		costFP = cm.Fingerprint()
-	}
 	cfg := core.Config{
 		ClockMHz: req.FreqMHz, Lambda: req.Lambda, Eta: req.Eta,
 		MCFIterations: req.MCFIters, Rounds: req.Rounds, Seed: req.Seed,
-		Validate: level, CostModel: cm,
+		Validate: level,
 	}
-	key := s.requestKey(req, dev, flow, level, costFP)
+	key := s.requestKey(req, dev, flow, level)
 
 	// The hub exists (with its "queued" event) before the scheduler sees the
 	// job, so a worker dispatching immediately can never publish "running"
@@ -420,16 +379,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // netlist bytes, the resolved target device, flow, and every placement
 // parameter. The device name is a separate length-prefixed part, so the
 // same netlist placed on two fabrics can never share a cached result
-// (locally or through a peer cache).
-// costFP is the resolved cost-model fingerprint ("off" when the hooks are
-// disabled): model-on and model-off placements of the same design differ,
-// as do placements under different model versions, so neither may share a
-// cached result. Tenant is deliberately excluded.
-func (s *Server) requestKey(req PlaceRequest, dev *fpga.Device, flow string, level core.ValidateLevel, costFP string) cache.Key {
+// (locally or through a peer cache). Tenant is deliberately excluded.
+func (s *Server) requestKey(req PlaceRequest, dev *fpga.Device, flow string, level core.ValidateLevel) cache.Key {
 	params := fmt.Sprintf("%s|%g|%g|%g|%d|%d|%d|%d",
 		flow, req.FreqMHz, req.Lambda, req.Eta,
 		req.MCFIters, req.Rounds, req.Seed, level)
-	return cache.KeyOf(req.Netlist, []byte(dev.Name), []byte(params), []byte(costFP))
+	return cache.KeyOf(req.Netlist, []byte(dev.Name), []byte(params))
 }
 
 // cacheGet decodes a stored outcome; decode failure reads as a miss.
@@ -447,7 +402,7 @@ func (s *Server) cacheGet(key cache.Key) (*outcome, bool) {
 func (s *Server) place(ctx context.Context, key cache.Key, dev *fpga.Device, flow string, mode placer.Mode, nl *netlist.Netlist, cfg core.Config, h *hub) (*outcome, error) {
 	for {
 		if o, ok := s.cacheGet(key); ok {
-			return &outcome{res: o.res, stages: o.stages, costFP: o.costFP, cached: true}, nil
+			return &outcome{res: o.res, stages: o.stages, cached: true}, nil
 		}
 		s.flightMu.Lock()
 		if f, ok := s.flights[key]; ok {
@@ -460,7 +415,7 @@ func (s *Server) place(ctx context.Context, key cache.Key, dev *fpga.Device, flo
 				return nil, fmt.Errorf("server: canceled waiting for duplicate run: %w", ctx.Err())
 			}
 			if f.err == nil {
-				return &outcome{res: f.o.res, stages: f.o.stages, costFP: f.o.costFP, cached: true}, nil
+				return &outcome{res: f.o.res, stages: f.o.stages, cached: true}, nil
 			}
 			// The leader failed — possibly from its own cancellation, which
 			// must not fail this job. Loop and try to become the leader.
@@ -515,11 +470,7 @@ func (s *Server) runPlacement(ctx context.Context, dev *fpga.Device, flow string
 	}
 	snap := rec.Snapshot()
 	s.observeStages(snap)
-	o := &outcome{res: res, stages: snap}
-	if cfg.CostModel != nil {
-		o.costFP = cfg.CostModel.Fingerprint()
-	}
-	return o, nil
+	return &outcome{res: res, stages: snap}, nil
 }
 
 func (s *Server) observeStages(snap map[string]stage.Stat) {
@@ -688,8 +639,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for i, name := range names {
 		hists[i].WritePrometheus(w, "dsplacer_stage_seconds", "stage", name)
 	}
-	// Per-stage invocation/event counters: assign iterations, pruned arcs,
-	// early stops and every other stage.Recorder count aggregated over jobs.
+	// Per-stage invocation/event counters: assign iterations and every
+	// other stage.Recorder count, aggregated over jobs.
 	if len(countNames) > 0 {
 		fmt.Fprintf(w, "# TYPE dsplacer_stage_invocations_total counter\n")
 	}
@@ -738,17 +689,14 @@ func resultDoc(o *outcome) *ResultDoc {
 	if res.AssignStopReason != "" {
 		doc.AssignIterations = res.AssignIterations
 		doc.AssignStopReason = res.AssignStopReason
-		doc.CostModel = o.costFP
-		doc.PrunedArcs = res.AssignPrunedArcs
-		doc.PredHPWL = res.AssignPredHPWL
 	}
-	for _, st := range res.AssignTrace {
-		doc.AssignTrace = append(doc.AssignTrace, TraceRowDoc{
-			Iter:      st.Iter,
-			Objective: st.Objective,
-			MovedFrac: st.MovedFrac,
-			HPWLDelta: st.PrevHPWL - st.HPWL,
-		})
+	for k, st := range res.AssignTrace {
+		row := TraceRowDoc{Iter: st.Iter, Objective: st.Objective, MovedFrac: st.MovedFrac}
+		// Each round's trace restarts at iteration 1.
+		if st.Iter > 1 {
+			row.HPWLDelta = res.AssignTrace[k-1].HPWL - st.HPWL
+		}
+		doc.AssignTrace = append(doc.AssignTrace, row)
 	}
 	return doc
 }

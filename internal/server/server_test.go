@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -215,6 +217,76 @@ func TestCacheHitSkipsSecondRun(t *testing.T) {
 	id3, _ := env.submit(t, req)
 	if doc3 := env.pollUntil(t, id3, terminal); doc3.Result == nil || doc3.Result.Cached {
 		t.Fatalf("different seed served from cache")
+	}
+}
+
+// A two-round dsplacer job reports the assign loop's telemetry: its
+// iteration count and stop reason, one trace row per iteration whose Iter
+// restarts at 1 in each round (where hpwl_delta is 0), the same trace when
+// a resubmission is served from the cache, and the iteration count in the
+// /metrics assign.iterations counter.
+func TestAssignTelemetryTwoRounds(t *testing.T) {
+	env := startServer(t, Config{})
+	req := map[string]any{
+		"netlist": json.RawMessage(smallNetlistJSON(t, 91)),
+		"rounds":  2,
+		"seed":    1,
+	}
+	id, _ := env.submit(t, req)
+	miss := env.pollUntil(t, id, terminal)
+	if miss.State != "done" || miss.Result.Cached {
+		t.Fatalf("first run: %s (%s)", miss.State, miss.Error)
+	}
+	res := miss.Result
+	if res.AssignIterations == 0 {
+		t.Fatal("assign_iterations missing")
+	}
+	if res.AssignStopReason != "converged" && res.AssignStopReason != "budget" {
+		t.Fatalf("assign_stop_reason %q", res.AssignStopReason)
+	}
+	if len(res.AssignTrace) != res.AssignIterations {
+		t.Fatalf("%d trace rows for %d iterations", len(res.AssignTrace), res.AssignIterations)
+	}
+	rounds := 0
+	for k, row := range res.AssignTrace {
+		if row.Iter == 1 {
+			rounds++
+			if row.HPWLDelta != 0 {
+				t.Errorf("row %d opens a round with hpwl_delta %g, want 0", k, row.HPWLDelta)
+			}
+		} else if k == 0 || row.Iter != res.AssignTrace[k-1].Iter+1 {
+			t.Errorf("row %d has iter %d; iters must count 1..n within each round", k, row.Iter)
+		}
+	}
+	if rounds != 2 {
+		t.Fatalf("trace holds %d rounds, want 2", rounds)
+	}
+
+	id, _ = env.submit(t, req)
+	hit := env.pollUntil(t, id, terminal)
+	if hit.State != "done" || !hit.Result.Cached {
+		t.Fatalf("resubmission not served from cache: %s %+v", hit.State, hit.Result)
+	}
+	if hit.Result.AssignIterations != res.AssignIterations || hit.Result.AssignStopReason != res.AssignStopReason {
+		t.Fatalf("cache hit reports %d iterations (%s), miss %d (%s)", hit.Result.AssignIterations,
+			hit.Result.AssignStopReason, res.AssignIterations, res.AssignStopReason)
+	}
+	if !reflect.DeepEqual(hit.Result.AssignTrace, res.AssignTrace) {
+		t.Fatal("cache hit serves a different assign_trace")
+	}
+
+	resp, err := http.Get(env.http.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf(`dsplacer_stage_invocations_total{stage="assign.iterations"} %d`, res.AssignIterations)
+	if !strings.Contains(string(body), want+"\n") {
+		t.Fatalf("/metrics missing %q:\n%s", want, body)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package stage provides named wall-clock accumulators wrapped around the
 // placer's hot paths (dspgraph build, the assignment loop's candidate/flow
 // phases, feature sweeps, experiment rows). It is a dependency-free leaf so
-// the hot paths themselves can record into it; consumers read it through
-// the re-exports in internal/metrics. The counters make parallel-speedup
+// the hot paths themselves can record into it, and consumers read it
+// directly (Snapshot, Report). The counters make parallel-speedup
 // work observable — `go run ./cmd/experiments -stages ...` prints the
 // table — while staying cheap enough to leave enabled: one mutexed map
 // update per stage invocation, never per inner-loop item.
@@ -117,10 +117,10 @@ func (r *Recorder) Add(name string, d time.Duration) {
 }
 
 // AddN folds n events with no duration into the named accumulator, turning
-// it into a pure counter (assign iterations executed, flow arcs pruned,
-// early stops taken). Counters share the stage namespace and Snapshot, so
-// the daemon's /metrics surfaces them without a second registry; observers
-// are not notified — counters are aggregates, not invocation boundaries.
+// it into a pure counter (assign iterations executed). Counters share the
+// stage namespace and Snapshot, so the daemon's /metrics surfaces them
+// without a second registry; observers are not notified — counters are
+// aggregates, not invocation boundaries.
 func (r *Recorder) AddN(name string, n int64) {
 	if n == 0 {
 		return

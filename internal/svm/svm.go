@@ -199,127 +199,3 @@ func Standardize(X [][]float64, means, stds []float64) ([]float64, []float64) {
 	}
 	return means, stds
 }
-
-// RidgeRegress fits one linear least-squares model per target column with
-// an L2 penalty: W, B = argmin Σ‖W·x + B − y‖² + ridge·‖W‖². X is rows ×
-// features (ideally standardized), Y is rows × targets; the returned W is
-// targets × features with per-target intercepts B. The solve is the
-// closed-form normal equation (XᵀX + ridge·I)·w = Xᵀy via Gaussian
-// elimination with partial pivoting — fully deterministic, no iteration,
-// no randomness — so identical inputs produce bit-identical weights. The
-// intercept column is not penalized. Inputs must be finite (checkMatrix
-// rules apply to X and Y both).
-func RidgeRegress(X, Y [][]float64, ridge float64) (W [][]float64, B []float64, err error) {
-	d, err := checkMatrix(X)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(Y) != len(X) {
-		return nil, nil, fmt.Errorf("svm: %d rows vs %d target rows", len(X), len(Y))
-	}
-	t, err := checkMatrix(Y)
-	if err != nil {
-		return nil, nil, fmt.Errorf("svm: targets: %w", err)
-	}
-	if ridge < 0 || math.IsNaN(ridge) || math.IsInf(ridge, 0) {
-		return nil, nil, fmt.Errorf("svm: ridge %v must be a finite non-negative value", ridge)
-	}
-	if ridge == 0 {
-		ridge = 1e-8 // keep the system positive definite for rank-deficient X
-	}
-	// Augmented design [x, 1]: the last row/column of the Gram matrix is the
-	// intercept, penalized with the same tiny floor only (not the ridge).
-	n := d + 1
-	A := make([][]float64, n)
-	for i := range A {
-		A[i] = make([]float64, n)
-	}
-	rhs := make([][]float64, n) // n × t
-	for i := range rhs {
-		rhs[i] = make([]float64, t)
-	}
-	for _, r := range X {
-		for i := 0; i < d; i++ {
-			for j := i; j < d; j++ {
-				A[i][j] += r[i] * r[j]
-			}
-			A[i][d] += r[i]
-		}
-		A[d][d]++
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < i; j++ {
-			A[i][j] = A[j][i]
-		}
-	}
-	for i := 0; i < d; i++ {
-		A[i][i] += ridge
-	}
-	A[d][d] += 1e-8
-	for k, r := range X {
-		for i := 0; i < d; i++ {
-			for j := 0; j < t; j++ {
-				rhs[i][j] += r[i] * Y[k][j]
-			}
-		}
-		for j := 0; j < t; j++ {
-			rhs[d][j] += Y[k][j]
-		}
-	}
-	if err := solveLinear(A, rhs); err != nil {
-		return nil, nil, err
-	}
-	W = make([][]float64, t)
-	B = make([]float64, t)
-	for j := 0; j < t; j++ {
-		W[j] = make([]float64, d)
-		for i := 0; i < d; i++ {
-			W[j][i] = rhs[i][j]
-		}
-		B[j] = rhs[d][j]
-	}
-	return W, B, nil
-}
-
-// solveLinear solves A·x = b in place for every column of b by Gaussian
-// elimination with partial pivoting. A is destroyed; b holds the solution.
-func solveLinear(A [][]float64, b [][]float64) error {
-	n := len(A)
-	for col := 0; col < n; col++ {
-		piv := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(A[r][col]) > math.Abs(A[piv][col]) {
-				piv = r
-			}
-		}
-		if math.Abs(A[piv][col]) < 1e-18 {
-			return fmt.Errorf("svm: singular normal equations at column %d", col)
-		}
-		A[col], A[piv] = A[piv], A[col]
-		b[col], b[piv] = b[piv], b[col]
-		inv := 1 / A[col][col]
-		for r := col + 1; r < n; r++ {
-			f := A[r][col] * inv
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				A[r][c] -= f * A[col][c]
-			}
-			for c := range b[r] {
-				b[r][c] -= f * b[col][c]
-			}
-		}
-	}
-	for col := n - 1; col >= 0; col-- {
-		inv := 1 / A[col][col]
-		for c := range b[col] {
-			s := b[col][c]
-			for r := col + 1; r < n; r++ {
-				s -= A[col][r] * b[r][c]
-			}
-			b[col][c] = s * inv
-		}
-	}
-	return nil
-}
