@@ -42,14 +42,19 @@ FUZZTIME ?= 10s
 # Run every native fuzz target briefly (go test -fuzz accepts one target
 # per invocation, hence one line each). The f.Add seeds plus the committed
 # corpora under testdata/fuzz always run even with FUZZTIME=0s.
+# -fuzzminimizetime 100x bounds how long the fuzzer minimizes each input
+# that widens coverage. The default bound is 60s, so one such input can
+# stall a 10s run at 0 execs/sec for the rest of its time; with at most 100
+# runs per input the targets keep executing throughout.
 fuzz-smoke:
-	go test -run '^$$' -fuzz '^FuzzNetlistJSON$$' -fuzztime $(FUZZTIME) ./internal/netlist/
-	go test -run '^$$' -fuzz '^FuzzVerilogWrite$$' -fuzztime $(FUZZTIME) ./internal/verilog/
-	go test -run '^$$' -fuzz '^FuzzXDCWrite$$' -fuzztime $(FUZZTIME) ./internal/xdc/
-	go test -run '^$$' -fuzz '^FuzzSiteName$$' -fuzztime $(FUZZTIME) ./internal/xdc/
-	go test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime $(FUZZTIME) ./internal/gen/
-	go test -run '^$$' -fuzz '^FuzzNewDevice$$' -fuzztime $(FUZZTIME) ./internal/fpga/
-	go test -run '^$$' -fuzz '^FuzzRemoteFrame$$' -fuzztime $(FUZZTIME) ./internal/cache/remote/
+	go test -run '^$$' -fuzz '^FuzzNetlistJSON$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/netlist/
+	go test -run '^$$' -fuzz '^FuzzVerilogWrite$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/verilog/
+	go test -run '^$$' -fuzz '^FuzzXDCWrite$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/xdc/
+	go test -run '^$$' -fuzz '^FuzzSiteName$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/xdc/
+	go test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/gen/
+	go test -run '^$$' -fuzz '^FuzzNewDevice$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/fpga/
+	go test -run '^$$' -fuzz '^FuzzRemoteFrame$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/cache/remote/
+	go test -run '^$$' -fuzz '^FuzzPlaceRequest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/server/
 
 # Golden-QoR smoke: run the frozen-seed regression harness on the smallest
 # registered device (every family, plus the drift-injection self-check).

@@ -31,18 +31,6 @@ func TestConfigWithDefaults(t *testing.T) {
 				if c.Rounds != 2 {
 					t.Errorf("Rounds %v, want 2", c.Rounds)
 				}
-				if c.MaxDSPGraphDepth != 8 {
-					t.Errorf("MaxDSPGraphDepth %v, want 8", c.MaxDSPGraphDepth)
-				}
-				if c.BaselineGPIters != 12 {
-					t.Errorf("BaselineGPIters %v, want 12", c.BaselineGPIters)
-				}
-				if c.PrototypeGPIters != 12 {
-					t.Errorf("PrototypeGPIters %v, want 12", c.PrototypeGPIters)
-				}
-				if c.ReplaceGPIters != 6 {
-					t.Errorf("ReplaceGPIters %v, want 6", c.ReplaceGPIters)
-				}
 				if _, ok := c.Identifier.(OracleIdentifier); !ok {
 					t.Errorf("Identifier %T, want OracleIdentifier", c.Identifier)
 				}
@@ -52,14 +40,11 @@ func TestConfigWithDefaults(t *testing.T) {
 			name: "explicit values survive",
 			in: Config{
 				ClockMHz: 200, Lambda: 10, Eta: 5, MCFIterations: 7,
-				Rounds: 3, MaxDSPGraphDepth: 4,
-				BaselineGPIters: 1, PrototypeGPIters: 2, ReplaceGPIters: 3,
-				Seed: 99,
+				Rounds: 3, Seed: 99,
 			},
 			check: func(t *testing.T, c Config) {
 				if c.ClockMHz != 200 || c.Lambda != 10 || c.Eta != 5 ||
-					c.MCFIterations != 7 || c.Rounds != 3 || c.MaxDSPGraphDepth != 4 ||
-					c.BaselineGPIters != 1 || c.PrototypeGPIters != 2 || c.ReplaceGPIters != 3 {
+					c.MCFIterations != 7 || c.Rounds != 3 {
 					t.Errorf("explicit values overwritten: %+v", c)
 				}
 				if c.Seed != 99 {

@@ -136,20 +136,6 @@ type Config struct {
 	Identifier Identifier
 	// Seed drives every stochastic component.
 	Seed int64
-	// TimingDriven enables one criticality-reweighting pass (applied
-	// identically in the baseline flows).
-	TimingDriven bool
-	// MaxDSPGraphDepth bounds the IDDFS (§III-B), default 8.
-	MaxDSPGraphDepth int
-	// BaselineGPIters is the standalone placer schedule used by the
-	// Vivado/AMF flows (default 12). PrototypeGPIters is DSPlacer's
-	// prototype schedule (default 12 — with the electrostatic engine the
-	// prototype seeds the MCF assignment and every later round, so it gets
-	// the full baseline budget); ReplaceGPIters is the shorter schedule of
-	// each incremental re-placement (default 6).
-	BaselineGPIters, PrototypeGPIters, ReplaceGPIters int
-	// RouteOpts configures the global router.
-	RouteOpts route.Options
 	// Validate gates stage boundaries with drc.Check: ValidateOff (default)
 	// skips checking, ValidateFinal checks the flow's final placement,
 	// ValidateEveryStage checks every intermediate artifact too. Failures
@@ -166,6 +152,23 @@ type Config struct {
 	// corruption surfaces as a stage-tagged error end to end.
 	corruptHook func(stage string, pos []geom.Point, siteOf map[int]int)
 }
+
+// Fixed flow settings.
+const (
+	// dspGraphDepth bounds the DSP graph's IDDFS (§III-B).
+	dspGraphDepth = 8
+	// fullGPIters is the placer schedule of the baselines' first placement
+	// and of the prototype placement: with the electrostatic engine the
+	// prototype seeds the MCF assignment and every later round, so it gets
+	// the full baseline budget.
+	fullGPIters = 12
+	// replaceGPIters is the shorter schedule of each incremental
+	// re-placement and of the baselines' refinement pass.
+	replaceGPIters = 6
+	// finalDetailPasses is the detailed-placement polish of the last
+	// placer call of every flow but R-SAD.
+	finalDetailPasses = 2
+)
 
 func (c Config) withDefaults() Config {
 	if c.ClockMHz == 0 {
@@ -185,18 +188,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Identifier == nil {
 		c.Identifier = OracleIdentifier{}
-	}
-	if c.MaxDSPGraphDepth == 0 {
-		c.MaxDSPGraphDepth = 8
-	}
-	if c.BaselineGPIters == 0 {
-		c.BaselineGPIters = 12
-	}
-	if c.PrototypeGPIters == 0 {
-		c.PrototypeGPIters = 12
-	}
-	if c.ReplaceGPIters == 0 {
-		c.ReplaceGPIters = 6
 	}
 	return c
 }
@@ -233,40 +224,103 @@ type Result struct {
 	AssignTrace []assign.IterStats `json:"-"`
 }
 
+// flow is one run of any of the flows: what their stage boundaries and
+// their common tail (place, finish) share. A flow only reads nl.
+type flow struct {
+	ctx   context.Context
+	dev   *fpga.Device
+	nl    *netlist.Netlist
+	cfg   Config // defaulted
+	gate  *gater
+	prof  Profile
+	start time.Time
+}
+
+func newFlow(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, name string, cfg Config) *flow {
+	cfg = cfg.withDefaults()
+	return &flow{
+		ctx: ctx, dev: dev, nl: nl, cfg: cfg,
+		gate:  &gater{level: cfg.Validate, dev: dev, nl: nl, flow: name, corrupt: cfg.corruptHook},
+		start: time.Now(),
+	}
+}
+
+// check gates the stage boundary named stage on the run's context.
+func (f *flow) check(stage string) error { return checkCtx(f.ctx, f.gate.flow, stage) }
+
+// place is one placer call at the stage boundary named stage, timed into
+// bucket: the context check, the placement with the run's recorder, its
+// error tagged with what, and the ValidateEveryStage gate.
+func (f *flow) place(bucket *time.Duration, stage, what string, opt placer.Options) (*placer.Result, error) {
+	if err := f.check(stage); err != nil {
+		return nil, err
+	}
+	t0 := time.Now()
+	defer func() { *bucket += time.Since(t0) }()
+	opt.Stages = f.cfg.Stages
+	res, err := placer.PlaceContext(f.ctx, f.dev, f.nl, opt)
+	if err != nil {
+		return nil, stageErr(what, err)
+	}
+	if err := f.gate.placement(ValidateEveryStage, stage, res.Pos, res.SiteOfDSP); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// finish is the tail every flow ends with: the timing polish and the final
+// gate (timed as OtherPlace), then routing and the final timing analysis
+// (Routing). It fills out's placement, QoR and profile and records the
+// profile into the run's recorder.
+func (f *flow) finish(pos []geom.Point, siteOf map[int]int, out Result) (*Result, error) {
+	period := 1000.0 / f.cfg.ClockMHz
+	t0 := time.Now()
+	if err := timingPolish(f.dev, f.nl, pos, period, f.cfg.Seed); err != nil {
+		return nil, err
+	}
+	if err := f.gate.placement(ValidateFinal, "final", pos, siteOf); err != nil {
+		return nil, err
+	}
+	f.prof.OtherPlace += time.Since(t0)
+
+	if err := f.check("routing"); err != nil {
+		return nil, err
+	}
+	t1 := time.Now()
+	rr := route.Route(f.dev, f.nl, pos, route.Options{})
+	timing, err := sta.Analyze(f.nl, pos, sta.Options{ClockPeriodNs: period, Congestion: rr.NetCongestion})
+	if err != nil {
+		return nil, fmt.Errorf("core: STA: %w", err)
+	}
+	f.prof.Routing = time.Since(t1)
+	f.prof.Total = time.Since(f.start)
+	recordProfile(f.cfg.Stages, f.prof)
+
+	out.Flow = f.gate.flow
+	out.Pos, out.SiteOfDSP = pos, siteOf
+	out.WNS, out.TNS = timing.WNS, timing.TNS
+	out.HPWL = metrics.HPWLUnit(f.nl, pos)
+	out.RoutedWL, out.Overflow = rr.Wirelength, rr.OverflowEdges
+	out.Profile = f.prof
+	return &out, nil
+}
+
 // Run executes the complete DSPlacer flow on nl. ctx is consulted at every
 // stage boundary and inside the assignment loop; once it is done, Run
 // returns an error wrapping both ErrCanceled and the context's error.
 func Run(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	period := 1000.0 / cfg.ClockMHz
-	restore := snapshotWeights(nl)
-	defer restore()
-	gate := &gater{level: cfg.Validate, dev: dev, nl: nl, flow: "dsplacer", corrupt: cfg.corruptHook}
-
-	total0 := time.Now()
-	if err := checkCtx(ctx, "dsplacer", "prototype"); err != nil {
-		return nil, err
-	}
+	f := newFlow(ctx, dev, nl, "dsplacer", cfg)
+	cfg = f.cfg
 
 	// --- Prototype placement (off-the-shelf engine, no datapath info) ----
-	t0 := time.Now()
-	proto, err := placer.PlaceContext(ctx, dev, nl, placer.Options{Mode: placer.ModeVivado, Seed: cfg.Seed,
-		GPIterations: cfg.PrototypeGPIters, Stages: cfg.Stages})
+	proto, err := f.place(&f.prof.Prototype, "prototype", "prototype placement",
+		placer.Options{Mode: placer.ModeVivado, Seed: cfg.Seed, GPIterations: fullGPIters})
 	if err != nil {
-		return nil, stageErr("prototype placement", err)
-	}
-	if err := gate.placement(ValidateEveryStage, "prototype", proto.Pos, proto.SiteOfDSP); err != nil {
 		return nil, err
 	}
-	if cfg.TimingDriven {
-		if err := reweight(nl, proto.Pos, period); err != nil {
-			return nil, err
-		}
-	}
-	profile := Profile{Prototype: time.Since(t0)}
 
 	// --- Datapath DSP extraction (§III) -----------------------------------
-	if err := checkCtx(ctx, "dsplacer", "extraction"); err != nil {
+	if err := f.check("extraction"); err != nil {
 		return nil, err
 	}
 	t1 := time.Now()
@@ -285,22 +339,20 @@ func Run(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Config)
 	if err != nil {
 		return nil, stageErr("identify", err)
 	}
-	dg := dspgraph.Build(nl, dspgraph.Config{MaxDepth: cfg.MaxDSPGraphDepth, Stages: cfg.Stages})
+	dg := dspgraph.Build(nl, dspgraph.Config{MaxDepth: dspGraphDepth, Stages: cfg.Stages})
 	keep := make(map[int]bool, len(datapath))
 	for _, c := range datapath {
 		keep[c] = true
 	}
 	dg = dg.Filter(func(id int) bool { return keep[id] })
-	profile.Extraction = time.Since(t1)
+	f.prof.Extraction = time.Since(t1)
 
 	// --- Incremental datapath-driven placement (Fig. 6) --------------------
+	out := Result{DatapathDSPs: datapath}
 	pos := proto.Pos
 	var siteOf map[int]int
-	var assignIters int
-	var assignStop string
-	var assignTrace []assign.IterStats
 	for round := 0; round < cfg.Rounds; round++ {
-		if err := checkCtx(ctx, "dsplacer", fmt.Sprintf("assign[%d]", round)); err != nil {
+		if err := f.check(fmt.Sprintf("assign[%d]", round)); err != nil {
 			return nil, err
 		}
 		// (a) fix other components, place datapath DSPs.
@@ -313,156 +365,94 @@ func Run(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Config)
 		if err != nil {
 			return nil, stageErr("MCF assignment", err)
 		}
-		assignIters += ar.Iterations
-		assignStop = ar.StopReason
-		assignTrace = append(assignTrace, ar.Trace...)
+		out.AssignIterations += ar.Iterations
+		out.AssignStopReason = ar.StopReason
+		out.AssignTrace = append(out.AssignTrace, ar.Trace...)
 		legal, err := legalize.Legalize(dev, nl, ar.SiteOf, legalize.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("core: legalization: %w", err)
 		}
-		if err := gate.assignment(ValidateEveryStage, fmt.Sprintf("legalize[%d]", round), legal); err != nil {
+		if err := f.gate.assignment(ValidateEveryStage, fmt.Sprintf("legalize[%d]", round), legal); err != nil {
 			return nil, err
 		}
-		profile.DSPPlace += time.Since(t2)
+		f.prof.DSPPlace += time.Since(t2)
 
-		if err := checkCtx(ctx, "dsplacer", fmt.Sprintf("replace[%d]", round)); err != nil {
-			return nil, err
-		}
-		// (b) fix datapath DSPs, re-place the remaining components.
-		t3 := time.Now()
+		// (b) fix datapath DSPs, re-place the remaining components. The
+		// final round gets the same detailed-placement polish as the
+		// baselines' refinement pass, so the comparison stays fair.
 		detail := 0
 		if round == cfg.Rounds-1 {
-			// Final round gets the same detailed-placement polish the
-			// baselines' refinement pass runs, so the comparison stays fair.
-			detail = 2
+			detail = finalDetailPasses
 		}
-		res, err := placer.PlaceContext(ctx, dev, nl, placer.Options{
+		res, err := f.place(&f.prof.OtherPlace, fmt.Sprintf("replace[%d]", round), "incremental placement", placer.Options{
 			Mode: placer.ModeDSPlacer, Seed: cfg.Seed + int64(round) + 1,
-			FixedSites: legal, GPIterations: cfg.ReplaceGPIters, Warm: pos,
-			Stages: cfg.Stages, DetailedPasses: detail,
+			FixedSites: legal, GPIterations: replaceGPIters, Warm: pos, DetailedPasses: detail,
 		})
 		if err != nil {
-			return nil, stageErr("incremental placement", err)
-		}
-		pos = res.Pos
-		siteOf = res.SiteOfDSP
-		if err := gate.placement(ValidateEveryStage, fmt.Sprintf("replace[%d]", round), pos, siteOf); err != nil {
 			return nil, err
 		}
-		profile.OtherPlace += time.Since(t3)
+		pos, siteOf = res.Pos, res.SiteOfDSP
 	}
-	t3 := time.Now()
-	if err := timingPolish(dev, nl, pos, period, cfg.Seed); err != nil {
-		return nil, err
-	}
-	if err := gate.placement(ValidateFinal, "final", pos, siteOf); err != nil {
-		return nil, err
-	}
-	profile.OtherPlace += time.Since(t3)
-
-	// --- Routing + timing ----------------------------------------------------
-	if err := checkCtx(ctx, "dsplacer", "routing"); err != nil {
-		return nil, err
-	}
-	t4 := time.Now()
-	rr := route.Route(dev, nl, pos, cfg.RouteOpts)
-	timing, err := sta.Analyze(nl, pos, sta.Options{ClockPeriodNs: period, Congestion: rr.NetCongestion})
-	if err != nil {
-		return nil, fmt.Errorf("core: STA: %w", err)
-	}
-	profile.Routing = time.Since(t4)
-	profile.Total = time.Since(total0)
-	recordProfile(cfg.Stages, profile)
-
-	return &Result{
-		Flow:             "dsplacer",
-		Pos:              pos,
-		SiteOfDSP:        siteOf,
-		DatapathDSPs:     datapath,
-		WNS:              timing.WNS,
-		TNS:              timing.TNS,
-		HPWL:             metrics.HPWLUnit(nl, pos),
-		RoutedWL:         rr.Wirelength,
-		Overflow:         rr.OverflowEdges,
-		Profile:          profile,
-		AssignIterations: assignIters,
-		AssignStopReason: assignStop,
-		AssignTrace:      assignTrace,
-	}, nil
+	return f.finish(pos, siteOf, out)
 }
 
 // RunBaseline executes the Vivado-like or AMF-like comparison flow. ctx is
 // consulted at every stage boundary, as in Run.
 func RunBaseline(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, mode placer.Mode, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	period := 1000.0 / cfg.ClockMHz
-	restore := snapshotWeights(nl)
-	defer restore()
-	gate := &gater{level: cfg.Validate, dev: dev, nl: nl, flow: mode.String(), corrupt: cfg.corruptHook}
-
-	total0 := time.Now()
-	if err := checkCtx(ctx, mode.String(), "placement"); err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	res, err := placer.PlaceContext(ctx, dev, nl, placer.Options{Mode: mode, Seed: cfg.Seed,
-		GPIterations: cfg.BaselineGPIters, Stages: cfg.Stages})
+	f := newFlow(ctx, dev, nl, mode.String(), cfg)
+	res, err := f.place(&f.prof.Prototype, "placement", fmt.Sprintf("%v placement", mode),
+		placer.Options{Mode: mode, Seed: f.cfg.Seed, GPIterations: fullGPIters})
 	if err != nil {
-		return nil, stageErr(fmt.Sprintf("%v placement", mode), err)
-	}
-	if err := gate.placement(ValidateEveryStage, "placement", res.Pos, res.SiteOfDSP); err != nil {
 		return nil, err
-	}
-	if cfg.TimingDriven {
-		if err := reweight(nl, res.Pos, period); err != nil {
-			return nil, err
-		}
 	}
 	// Refinement pass, warm-started from the first solution — commercial
 	// flows run detailed-placement refinement after global placement; this
 	// keeps the baselines' general-logic quality on par with DSPlacer's
 	// incremental loop so Table II differences isolate DSP handling.
-	if err := checkCtx(ctx, mode.String(), "refinement"); err != nil {
-		return nil, err
-	}
-	res, err = placer.PlaceContext(ctx, dev, nl, placer.Options{Mode: mode, Seed: cfg.Seed + 1,
-		GPIterations: cfg.ReplaceGPIters, Warm: res.Pos, Stages: cfg.Stages,
-		DetailedPasses: 2})
+	res, err = f.place(&f.prof.Prototype, "refinement", fmt.Sprintf("%v refinement placement", mode),
+		placer.Options{Mode: mode, Seed: f.cfg.Seed + 1, GPIterations: replaceGPIters, Warm: res.Pos,
+			DetailedPasses: finalDetailPasses})
 	if err != nil {
-		return nil, stageErr(fmt.Sprintf("%v refinement placement", mode), err)
-	}
-	if err := timingPolish(dev, nl, res.Pos, period, cfg.Seed); err != nil {
 		return nil, err
 	}
-	if err := gate.placement(ValidateFinal, "final", res.Pos, res.SiteOfDSP); err != nil {
-		return nil, err
-	}
-	profile := Profile{Prototype: time.Since(t0)}
+	return f.finish(res.Pos, res.SiteOfDSP, Result{})
+}
 
-	if err := checkCtx(ctx, mode.String(), "routing"); err != nil {
+// RunRSAD executes the R-SAD-style comparison flow (§I related work [26]):
+// prototype placement, then the systolic-array lattice placer snaps every
+// DSP onto a regular grid, then one incremental re-placement of the other
+// components, routing and timing. The extension experiment uses it to test
+// the paper's claim that array-specialized placement does not generalize to
+// diverse accelerator architectures.
+func RunRSAD(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Config) (*Result, error) {
+	f := newFlow(ctx, dev, nl, "rsad", cfg)
+	proto, err := f.place(&f.prof.Prototype, "prototype", "rsad prototype",
+		placer.Options{Mode: placer.ModeVivado, Seed: f.cfg.Seed, GPIterations: fullGPIters})
+	if err != nil {
+		return nil, err
+	}
+
+	if err := f.check("lattice"); err != nil {
 		return nil, err
 	}
 	t1 := time.Now()
-	rr := route.Route(dev, nl, res.Pos, cfg.RouteOpts)
-	timing, err := sta.Analyze(nl, res.Pos, sta.Options{ClockPeriodNs: period, Congestion: rr.NetCongestion})
+	siteOf, err := rsad.Place(dev, nl, proto.Pos)
 	if err != nil {
-		return nil, fmt.Errorf("core: STA: %w", err)
+		return nil, fmt.Errorf("core: rsad lattice: %w", err)
 	}
-	profile.Routing = time.Since(t1)
-	profile.Total = time.Since(total0)
-	recordProfile(cfg.Stages, profile)
+	if err := f.gate.assignment(ValidateEveryStage, "lattice", siteOf); err != nil {
+		return nil, err
+	}
+	f.prof.DSPPlace = time.Since(t1)
 
-	return &Result{
-		Flow:      mode.String(),
-		Pos:       res.Pos,
-		SiteOfDSP: res.SiteOfDSP,
-		WNS:       timing.WNS,
-		TNS:       timing.TNS,
-		HPWL:      metrics.HPWLUnit(nl, res.Pos),
-		RoutedWL:  rr.Wirelength,
-		Overflow:  rr.OverflowEdges,
-		Profile:   profile,
-	}, nil
+	res, err := f.place(&f.prof.OtherPlace, "replace", "rsad re-placement", placer.Options{
+		Mode: placer.ModeDSPlacer, Seed: f.cfg.Seed + 1,
+		FixedSites: siteOf, GPIterations: replaceGPIters, Warm: proto.Pos,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return f.finish(res.Pos, res.SiteOfDSP, Result{})
 }
 
 // recordProfile folds a completed flow's per-stage wall times into rec
@@ -477,138 +467,35 @@ func recordProfile(rec *stage.Recorder, p Profile) {
 	rec.Add("core.total", p.Total)
 }
 
-// reweight applies one pass of criticality-based net weighting.
-func reweight(nl *netlist.Netlist, pos []geom.Point, period float64) error {
-	timing, err := sta.Analyze(nl, pos, sta.Options{ClockPeriodNs: period})
-	if err != nil {
-		return fmt.Errorf("core: estimate STA: %w", err)
-	}
-	for ni, w := range sta.NetCriticality(nl, timing, 3) {
-		nl.Nets[ni].Weight = w
-	}
-	return nil
-}
-
 // timingPolish is the criticality-weighted detailed-placement pass every
-// flow ends with: nets are temporarily reweighted by slack so the window
-// moves/swaps target the critical paths rather than raw HPWL, then the
-// weights are restored so routing sees the flow's own weighting. Capacity
-// legality is preserved exactly, so it is safe to run after legalization
-// and before the final DRC gate.
+// flow ends with. It reweights a private copy of the nets by slack, so the
+// window moves/swaps target the critical paths rather than raw HPWL, while
+// nl — and with it routing, the final STA and the caller — keeps its own
+// weights. Capacity legality is preserved exactly, so it is safe to run
+// after legalization and before the final DRC gate.
 func timingPolish(dev *fpga.Device, nl *netlist.Netlist, pos []geom.Point, period float64, seed int64) error {
-	restoreW := snapshotWeights(nl)
-	defer restoreW()
+	wnl := *nl
+	wnl.Nets = make([]*netlist.Net, len(nl.Nets))
+	nets := make([]netlist.Net, len(nl.Nets))
+	for i, n := range nl.Nets {
+		nets[i] = *n
+		wnl.Nets[i] = &nets[i]
+	}
 	// Two reweight+refine rounds: the first round's moves change which nets
 	// are critical, and the refreshed weights let cells that started far
 	// from their slack-optimal spot keep traveling instead of freezing at
 	// the window boundary.
 	for round := 0; round < 2; round++ {
-		if err := reweight(nl, pos, period); err != nil {
-			return err
+		timing, err := sta.Analyze(&wnl, pos, sta.Options{ClockPeriodNs: period})
+		if err != nil {
+			return fmt.Errorf("core: estimate STA: %w", err)
 		}
-		if detailed.Refine(dev, nl, pos, detailed.Options{Passes: 2, Seed: seed}) <= 0 {
+		for ni, w := range sta.NetCriticality(&wnl, timing, 3) {
+			nets[ni].Weight = w
+		}
+		if detailed.Refine(dev, &wnl, pos, detailed.Options{Passes: 2, Seed: seed}) <= 0 {
 			break
 		}
 	}
 	return nil
-}
-
-// snapshotWeights saves net weights and returns a restorer, so flows that
-// reweight do not leak state into subsequent flows on the same netlist.
-func snapshotWeights(nl *netlist.Netlist) func() {
-	saved := make([]float64, len(nl.Nets))
-	for i, n := range nl.Nets {
-		saved[i] = n.Weight
-	}
-	return func() {
-		for i, n := range nl.Nets {
-			n.Weight = saved[i]
-		}
-	}
-}
-
-// RunRSAD executes the R-SAD-style comparison flow (§I related work [26]):
-// prototype placement, then the systolic-array lattice placer snaps every
-// DSP onto a regular grid, then one incremental re-placement of the other
-// components, routing and timing. The extension experiment uses it to test
-// the paper's claim that array-specialized placement does not generalize to
-// diverse accelerator architectures.
-func RunRSAD(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	period := 1000.0 / cfg.ClockMHz
-	restore := snapshotWeights(nl)
-	defer restore()
-	gate := &gater{level: cfg.Validate, dev: dev, nl: nl, flow: "rsad", corrupt: cfg.corruptHook}
-
-	total0 := time.Now()
-	if err := checkCtx(ctx, "rsad", "prototype"); err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	proto, err := placer.PlaceContext(ctx, dev, nl, placer.Options{Mode: placer.ModeVivado, Seed: cfg.Seed,
-		GPIterations: cfg.PrototypeGPIters, Stages: cfg.Stages})
-	if err != nil {
-		return nil, stageErr("rsad prototype", err)
-	}
-	if err := gate.placement(ValidateEveryStage, "prototype", proto.Pos, proto.SiteOfDSP); err != nil {
-		return nil, err
-	}
-	profile := Profile{Prototype: time.Since(t0)}
-
-	if err := checkCtx(ctx, "rsad", "lattice"); err != nil {
-		return nil, err
-	}
-	t1 := time.Now()
-	siteOf, err := rsad.Place(dev, nl, proto.Pos)
-	if err != nil {
-		return nil, fmt.Errorf("core: rsad lattice: %w", err)
-	}
-	if err := gate.assignment(ValidateEveryStage, "lattice", siteOf); err != nil {
-		return nil, err
-	}
-	profile.DSPPlace = time.Since(t1)
-
-	if err := checkCtx(ctx, "rsad", "replace"); err != nil {
-		return nil, err
-	}
-	t2 := time.Now()
-	res, err := placer.PlaceContext(ctx, dev, nl, placer.Options{
-		Mode: placer.ModeDSPlacer, Seed: cfg.Seed + 1,
-		FixedSites: siteOf, GPIterations: cfg.ReplaceGPIters, Warm: proto.Pos,
-		Stages: cfg.Stages,
-	})
-	if err != nil {
-		return nil, stageErr("rsad re-placement", err)
-	}
-	if err := timingPolish(dev, nl, res.Pos, period, cfg.Seed); err != nil {
-		return nil, err
-	}
-	if err := gate.placement(ValidateFinal, "final", res.Pos, res.SiteOfDSP); err != nil {
-		return nil, err
-	}
-	profile.OtherPlace = time.Since(t2)
-
-	if err := checkCtx(ctx, "rsad", "routing"); err != nil {
-		return nil, err
-	}
-	t3 := time.Now()
-	rr := route.Route(dev, nl, res.Pos, cfg.RouteOpts)
-	timing, err := sta.Analyze(nl, res.Pos, sta.Options{ClockPeriodNs: period, Congestion: rr.NetCongestion})
-	if err != nil {
-		return nil, fmt.Errorf("core: rsad STA: %w", err)
-	}
-	profile.Routing = time.Since(t3)
-	profile.Total = time.Since(total0)
-	recordProfile(cfg.Stages, profile)
-	return &Result{
-		Flow:      "rsad",
-		Pos:       res.Pos,
-		SiteOfDSP: res.SiteOfDSP,
-		WNS:       timing.WNS,
-		TNS:       timing.TNS,
-		HPWL:      metrics.HPWLUnit(nl, res.Pos),
-		RoutedWL:  rr.Wirelength,
-		Overflow:  rr.OverflowEdges,
-		Profile:   profile,
-	}, nil
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 
 	"dsplacer/internal/features"
@@ -129,21 +131,81 @@ func TestProfileCoversTotal(t *testing.T) {
 	}
 }
 
-func TestWeightsRestoredAfterRun(t *testing.T) {
+// TestFlowsShareNetlist runs every flow twice, all at once, on one shared
+// netlist. The netlist must come out deep-equal to a copy taken before the
+// runs, and each run must give the bits of the same flow run alone on its
+// own copy. Under -race it also proves that no flow writes what another
+// reads.
+func TestFlowsShareNetlist(t *testing.T) {
 	dev, nl := miniSetup(t)
-	before := make([]float64, len(nl.Nets))
-	for i, n := range nl.Nets {
-		before[i] = n.Weight
+	orig := cloneNetlist(nl)
+	cfg := Config{ClockMHz: gen.Small().FreqMHz, MCFIterations: 4, Rounds: 1, Seed: 3}
+	ctx := context.Background()
+	flows := []struct {
+		name string
+		run  func(*netlist.Netlist) (*Result, error)
+	}{
+		{"dsplacer", func(nl *netlist.Netlist) (*Result, error) { return Run(ctx, dev, nl, cfg) }},
+		{"vivado", func(nl *netlist.Netlist) (*Result, error) { return RunBaseline(ctx, dev, nl, placer.ModeVivado, cfg) }},
+		{"rsad", func(nl *netlist.Netlist) (*Result, error) { return RunRSAD(ctx, dev, nl, cfg) }},
 	}
-	_, err := Run(context.Background(), dev, nl, Config{ClockMHz: 150, MCFIterations: 4, Rounds: 1, TimingDriven: true})
-	if err != nil {
-		t.Fatal(err)
+	alone := make([]*Result, len(flows))
+	for i, f := range flows {
+		res, err := f.run(cloneNetlist(nl))
+		if err != nil {
+			t.Fatalf("%s alone: %v", f.name, err)
+		}
+		res.Profile = Profile{}
+		alone[i] = res
 	}
-	for i, n := range nl.Nets {
-		if n.Weight != before[i] {
-			t.Fatalf("net %d weight leaked: %v vs %v", i, n.Weight, before[i])
+
+	const copies = 2
+	shared := make([]*Result, copies*len(flows))
+	errs := make([]error, len(shared))
+	var wg sync.WaitGroup
+	for i := range shared {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			shared[i], errs[i] = flows[i%len(flows)].run(nl)
+		}(i)
+	}
+	wg.Wait()
+
+	if !reflect.DeepEqual(nl, orig) {
+		t.Error("the flows wrote the shared netlist")
+	}
+	for i, res := range shared {
+		f := flows[i%len(flows)]
+		if errs[i] != nil {
+			t.Errorf("%s on the shared netlist: %v", f.name, errs[i])
+			continue
+		}
+		res.Profile = Profile{}
+		if !reflect.DeepEqual(res, alone[i%len(flows)]) {
+			t.Errorf("%s on the shared netlist differs from the same flow run alone", f.name)
 		}
 	}
+}
+
+// cloneNetlist deep-copies nl: no cell, net, macro or dataflow edge of the
+// copy shares memory with nl.
+func cloneNetlist(nl *netlist.Netlist) *netlist.Netlist {
+	c := &netlist.Netlist{Name: nl.Name}
+	for _, cell := range nl.Cells {
+		cp := *cell
+		c.Cells = append(c.Cells, &cp)
+	}
+	for _, n := range nl.Nets {
+		cp := *n
+		cp.Sinks = append([]int(nil), n.Sinks...)
+		c.Nets = append(c.Nets, &cp)
+	}
+	for _, m := range nl.Macros {
+		c.Macros = append(c.Macros, append([]int(nil), m...))
+	}
+	c.Dataflow = append([]netlist.DataflowEdge(nil), nl.Dataflow...)
+	return c
 }
 
 func TestGCNIdentifierEndToEnd(t *testing.T) {

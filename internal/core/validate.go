@@ -27,8 +27,8 @@ const (
 	// ValidateFinal checks only the flow's final placement.
 	ValidateFinal
 	// ValidateEveryStage additionally checks every intermediate stage
-	// boundary: prototype placement, each assignment+legalization round and
-	// each incremental re-placement.
+	// boundary: the result of each placer call and each DSP site
+	// assignment (a legalization round or the R-SAD lattice).
 	ValidateEveryStage
 )
 

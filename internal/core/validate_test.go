@@ -92,22 +92,40 @@ func TestRunSurfacesInjectedOverfullSite(t *testing.T) {
 }
 
 // TestValidateOffSkipsGates: with the default level the corrupt hook fires
-// but nothing checks, preserving the historical behaviour.
+// once at each gate of every flow, but nothing checks, preserving the
+// historical behaviour. The gate lists are the stage tags of DESIGN.md §10.
 func TestValidateOffSkipsGates(t *testing.T) {
 	dev := validateDev(t)
 	nl, err := gen.Generate(validateSpec(), dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stages := map[string]int{}
-	cfg := Config{ClockMHz: 200, MCFIterations: 4, Rounds: 1, Seed: 5}
-	cfg.corruptHook = func(stage string, pos []geom.Point, siteOf map[int]int) { stages[stage]++ }
-	if _, err := Run(context.Background(), dev, nl, cfg); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"prototype", "legalize[0]", "replace[0]", "final"} {
-		if stages[want] != 1 {
-			t.Fatalf("stage %q gated %d times, want 1 (saw %v)", want, stages[want], stages)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		flow  string
+		run   func(Config) (*Result, error)
+		gates []string
+	}{
+		{"dsplacer", func(c Config) (*Result, error) { return Run(ctx, dev, nl, c) },
+			[]string{"prototype", "legalize[0]", "replace[0]", "final"}},
+		{"vivado", func(c Config) (*Result, error) { return RunBaseline(ctx, dev, nl, placer.ModeVivado, c) },
+			[]string{"placement", "refinement", "final"}},
+		{"rsad", func(c Config) (*Result, error) { return RunRSAD(ctx, dev, nl, c) },
+			[]string{"prototype", "lattice", "replace", "final"}},
+	} {
+		stages := map[string]int{}
+		cfg := Config{ClockMHz: 200, MCFIterations: 4, Rounds: 1, Seed: 5}
+		cfg.corruptHook = func(stage string, pos []geom.Point, siteOf map[int]int) { stages[stage]++ }
+		if _, err := tc.run(cfg); err != nil {
+			t.Fatalf("%s: %v", tc.flow, err)
+		}
+		if len(stages) != len(tc.gates) {
+			t.Errorf("%s gated %v, want %v", tc.flow, stages, tc.gates)
+		}
+		for _, want := range tc.gates {
+			if stages[want] != 1 {
+				t.Errorf("%s: stage %q gated %d times, want 1 (saw %v)", tc.flow, want, stages[want], stages)
+			}
 		}
 	}
 }

@@ -148,7 +148,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.sched.Shutdown(ctx)
 }
 
-// PlaceRequest is the POST /v1/jobs body.
+// PlaceRequest is the POST /v1/jobs body. A numeric field left at zero
+// takes its default; a negative one is answered with 400.
 type PlaceRequest struct {
 	// Netlist is the design to place, in the netlist JSON schema.
 	Netlist json.RawMessage `json:"netlist"`
@@ -176,6 +177,27 @@ type PlaceRequest struct {
 	Tenant string `json:"tenant,omitempty"`
 	// TimeoutMS bounds the job's run time once it starts; zero = unlimited.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+}
+
+// negativeField names the first numeric field of r below zero, or returns
+// "". Zero selects a field's default; a negative value has no meaning, and
+// left to the flow it fails late or places nothing.
+func (r *PlaceRequest) negativeField() string {
+	switch {
+	case r.FreqMHz < 0:
+		return "freq_mhz"
+	case r.Lambda < 0:
+		return "lambda"
+	case r.Eta < 0:
+		return "eta"
+	case r.MCFIters < 0:
+		return "mcf_iters"
+	case r.Rounds < 0:
+		return "rounds"
+	case r.TimeoutMS < 0:
+		return "timeout_ms"
+	}
+	return ""
 }
 
 // JobDoc is the wire form of a job returned by GET/DELETE /v1/jobs/{id}.
@@ -288,6 +310,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Netlist) == 0 {
 		httpError(w, http.StatusBadRequest, "missing netlist")
+		return
+	}
+	if field := req.negativeField(); field != "" {
+		httpError(w, http.StatusBadRequest, "%s must not be negative", field)
 		return
 	}
 	// The netlist travels through the streaming reader so the service and
