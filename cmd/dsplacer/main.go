@@ -72,14 +72,15 @@ func main() {
 	cfg := core.Config{
 		ClockMHz: *freq, Lambda: *lambda,
 		MCFIterations: *mcfIters, Rounds: *rounds, Seed: common.Seed,
-		Validate: common.Validate(),
+		Validate: common.Validate(), Stages: common.Stages,
 	}
 	if *modelPath != "" {
 		model, err := gcn.LoadFile(*modelPath)
 		if err != nil {
 			cli.Fatal(err)
 		}
-		cfg.Identifier = &core.GCNIdentifier{Model: model, FeatureCfg: features.Config{Seed: common.Seed + 13}}
+		fcfg := features.Config{Seed: common.Seed + 13, Stages: common.Stages}
+		cfg.Identifier = &core.GCNIdentifier{Model: model, FeatureCfg: fcfg}
 	}
 
 	var res *core.Result
@@ -160,7 +161,7 @@ func main() {
 			fmt.Println(viz.ASCII(dev, nl, res.Pos, datapath, 72, 30))
 		}
 		if *svgPath != "" {
-			dg := dspgraph.Build(nl, dspgraph.Config{})
+			dg := dspgraph.Build(nl, dspgraph.Config{Stages: common.Stages})
 			var edges [][2]int
 			for _, e := range dg.Edges {
 				if datapath[e.From] && datapath[e.To] {

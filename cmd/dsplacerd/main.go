@@ -6,9 +6,15 @@
 //
 //	dsplacerd -addr :8080 -workers 2 -queue-depth 64 -cache-size 64 -ttl 10m
 //	dsplacerd -tenant-quota 16 -tenant-weights "interactive=3,batch=1"
-//	dsplacerd -cache-shards 8 -cache-listen :7070 -cache-peers host2:7070
+//	dsplacerd -cache-listen :7070 -cache-peers host2:7070
+//	dsplacerd -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //	dsplacerd -smoke          # in-process self-test: serve, place, verify
 //	dsplacerd -smoke-cluster  # two-daemon shared-cache self-test
+//
+// Each job takes its seed, DRC gating level and placement settings from
+// its request, and records its stage timings into a recorder of its own,
+// served as the job document's stages_s and in /metrics; the daemon's
+// only observability flags are the two profiles.
 //
 // Endpoints:
 //
@@ -83,16 +89,15 @@ func main() {
 	tenantQuota := flag.Int("tenant-quota", 0, "max queued jobs per tenant (0 = queue-depth)")
 	tenantWeights := flag.String("tenant-weights", "", `fair-share weights, e.g. "interactive=3,batch=1"`)
 	cacheSize := flag.Int("cache-size", 64, "result cache capacity (entries)")
-	cacheShards := flag.Int("cache-shards", 1, "shard the result cache N ways (1 = single LRU)")
 	cacheListen := flag.String("cache-listen", "", "serve the local result cache to peer daemons on this address")
 	cachePeers := flag.String("cache-peers", "", "comma-separated peer cache addresses to share placements with")
 	ttl := flag.Duration("ttl", 10*time.Minute, "terminal job retention before eviction")
 	drainGrace := flag.Duration("drain-grace", time.Minute, "max wait for in-flight jobs on shutdown")
 	smoke := flag.Bool("smoke", false, "run the in-process smoke test and exit")
 	smokeCluster := flag.Bool("smoke-cluster", false, "run the two-daemon shared-cache smoke test and exit")
-	common := cli.RegisterCommon(flag.CommandLine, 1, "off")
+	prof := cli.RegisterProfiling(flag.CommandLine)
 	flag.Parse()
-	stop := common.Start()
+	stop := prof.Start()
 	defer stop()
 
 	if *smokeCluster {
@@ -115,16 +120,11 @@ func main() {
 		cli.Fatal(err)
 	}
 
-	// The local store (optionally sharded) is what -cache-listen serves;
-	// the server sees it wrapped with the peers so lookups fall back to and
-	// fills write through to the rest of the cluster.
-	var local cache.Store
-	if *cacheShards > 1 {
-		local = cache.NewSharded(*cacheShards, *cacheSize)
-	} else {
-		local = cache.NewLRU(*cacheSize)
-	}
-	store := local
+	// The local store is what -cache-listen serves; the server sees it
+	// wrapped with the peers so lookups fall back to and fills write
+	// through to the rest of the cluster.
+	local := cache.NewLRU(*cacheSize)
+	var store cache.Store = local
 	if *cacheListen != "" {
 		ln, err := remote.Listen(*cacheListen, local)
 		if err != nil {

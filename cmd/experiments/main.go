@@ -68,7 +68,7 @@ func main() {
 	suite := experiments.NewSuite(specs)
 	cfg := experiments.TableIIConfig{
 		MCFIterations: *mcfIters, Rounds: *rounds, Lambda: 100, Seed: common.Seed,
-		Validate: common.Validate(),
+		Validate: common.Validate(), Stages: common.Stages,
 	}
 	f7 := experiments.Fig7Config{Epochs: *epochs, Seed: common.Seed}
 	w := os.Stdout

@@ -107,7 +107,7 @@ func main() {
 				cfg := core.Config{
 					ClockMHz: clock, Lambda: nz(l), Eta: nz(e),
 					MCFIterations: it, Rounds: *rounds, Seed: common.Seed,
-					Validate: common.Validate(),
+					Validate: common.Validate(), Stages: common.Stages,
 				}
 				res, err := core.Run(context.Background(), dev, nl, cfg)
 				if err != nil {

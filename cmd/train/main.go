@@ -34,7 +34,7 @@ func main() {
 	stop := common.Start()
 	defer stop()
 
-	fcfg := features.Config{Seed: common.Seed + 13}
+	fcfg := features.Config{Seed: common.Seed + 13, Stages: common.Stages}
 
 	if *evalPath != "" {
 		if *modelPath == "" {

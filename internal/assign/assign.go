@@ -54,8 +54,8 @@ type Problem struct {
 	// line with the paper's fast C++ MCF.
 	ConvergedFrac float64
 	// Stages receives the solve's phase timings (assign.solve, candidates,
-	// costUpdate, flow, and the mcmf.* phases underneath); nil records into
-	// the process-wide default recorder.
+	// costUpdate, flow, and the mcmf.* phases underneath); nil records
+	// nothing.
 	Stages *stage.Recorder
 }
 

@@ -5,12 +5,12 @@
 // a second placement run; because the key is pure content, results are
 // location-independent and can be shared across daemons.
 //
-// Storage is pluggable behind the Store interface: LRU is the single-lock
-// in-process implementation, Sharded fans keys out over N LRU shards with
-// per-shard locking, Peered composes a local store with remote peers, and
-// cache/remote serves any Store over TCP. Values are opaque byte blobs so
-// every implementation — in-process or across the network — speaks the
-// same type. Hit/miss counters feed the /metrics endpoint.
+// Storage is pluggable behind the Store interface: LRU is the in-process
+// implementation, whose one lock guards an O(1) map lookup and list move,
+// Peered composes a local store with remote peers, and cache/remote serves
+// any Store over TCP. Values are opaque byte blobs so every implementation
+// — in-process or across the network — speaks the same type. Hit/miss
+// counters feed the /metrics endpoint.
 package cache
 
 import (
@@ -128,13 +128,6 @@ func (c *LRU) Put(k Key, v []byte) {
 		c.order.Remove(oldest)
 		delete(c.byKey, oldest.Value.(*entry).key)
 	}
-}
-
-// Len returns the number of live entries.
-func (c *LRU) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
 }
 
 // Stats returns cumulative hit/miss counters and current occupancy.

@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// storeImpls pins that every implementation satisfies Store.
+var _ = []Store{(*LRU)(nil), (*Peered)(nil)}
+
 func TestKeyOfBoundaries(t *testing.T) {
 	// Length-prefixing makes part boundaries significant.
 	a := KeyOf([]byte("ab"), []byte("c"))
@@ -54,8 +57,8 @@ func TestLRUEvictsOldest(t *testing.T) {
 	if _, ok := c.Get(k1); !ok {
 		t.Fatal("recently used entry was evicted")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len %d, want 2", c.Len())
+	if c.Stats().Entries != 2 {
+		t.Fatalf("len %d, want 2", c.Stats().Entries)
 	}
 }
 
@@ -67,8 +70,8 @@ func TestPutReplacesInPlace(t *testing.T) {
 	if v, _ := c.Get(k); string(v) != "new" {
 		t.Fatalf("got %q, want new", v)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("replacement grew the cache to %d entries", c.Len())
+	if c.Stats().Entries != 1 {
+		t.Fatalf("replacement grew the cache to %d entries", c.Stats().Entries)
 	}
 }
 
@@ -97,11 +100,44 @@ func TestConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Len() > 16 {
-		t.Fatalf("cache over capacity: %d", c.Len())
+	if c.Stats().Entries > 16 {
+		t.Fatalf("cache over capacity: %d", c.Stats().Entries)
 	}
 	st := c.Stats()
 	if st.Hits+st.Misses == 0 {
 		t.Fatal("no lookups recorded")
+	}
+}
+
+func TestPeeredPromotesAndWritesThrough(t *testing.T) {
+	local, peerA, peerB := NewLRU(8), NewLRU(8), NewLRU(8)
+	p := &Peered{Local: local, Peers: []Store{peerA, peerB}}
+
+	k1 := KeyOf([]byte("computed-elsewhere"))
+	peerB.Put(k1, []byte("remote"))
+	v, ok := p.Get(k1)
+	if !ok || string(v) != "remote" {
+		t.Fatalf("peer value not served: %q %v", v, ok)
+	}
+	if p.PeerHits() != 1 {
+		t.Fatalf("peer hits %d, want 1", p.PeerHits())
+	}
+	// The peer hit was promoted: the next Get is local.
+	if _, ok := local.Get(k1); !ok {
+		t.Fatal("peer hit was not promoted into the local store")
+	}
+
+	k2 := KeyOf([]byte("computed-here"))
+	p.Put(k2, []byte("mine"))
+	for i, peer := range []*LRU{peerA, peerB} {
+		if v, ok := peer.Get(k2); !ok || string(v) != "mine" {
+			t.Fatalf("peer %d missing written-through value", i)
+		}
+	}
+	if p.PeerPuts() != 2 {
+		t.Fatalf("peer puts %d, want 2", p.PeerPuts())
+	}
+	if _, ok := p.Get(KeyOf([]byte("nowhere"))); ok {
+		t.Fatal("hit for a key no store holds")
 	}
 }

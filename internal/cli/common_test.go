@@ -74,3 +74,39 @@ func TestCommonWritesProfiles(t *testing.T) {
 	// stop is idempotent: the CPU profile handle is cleared on first call.
 	stop()
 }
+
+// TestCommonStagesRecorder: -stages hands out a recorder for the command
+// to pass to its flows; without the flag there is none, so the flows
+// record nothing.
+func TestCommonStagesRecorder(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want bool
+	}{
+		{nil, false},
+		{[]string{"-stages"}, true},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		c := RegisterCommon(fs, 1, "off")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		stop := c.Start()
+		if got := c.Stages != nil; got != tc.want {
+			t.Errorf("args %q: recorder present %v, want %v", tc.args, got, tc.want)
+		}
+		stop()
+	}
+}
+
+// TestRegisterProfilingOnlyProfiles: the profiling-only registration adds
+// -cpuprofile and -memprofile and nothing else.
+func TestRegisterProfilingOnlyProfiles(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	RegisterProfiling(fs)
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if len(names) != 2 || names[0] != "cpuprofile" || names[1] != "memprofile" {
+		t.Fatalf("flags %v, want [cpuprofile memprofile]", names)
+	}
+}

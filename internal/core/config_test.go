@@ -1,7 +1,12 @@
 package core
 
 import (
+	"context"
+	"strings"
 	"testing"
+
+	"dsplacer/internal/placer"
+	"dsplacer/internal/stage"
 )
 
 // TestConfigWithDefaults pins every default withDefaults fills in, so an
@@ -69,7 +74,7 @@ func TestConfigWithDefaults(t *testing.T) {
 					t.Errorf("Validate %v, want ValidateEveryStage", c.Validate)
 				}
 				if c.Stages != nil {
-					t.Errorf("Stages %v, want nil (nil means default recorder)", c.Stages)
+					t.Errorf("Stages %v, want nil (nil records nothing)", c.Stages)
 				}
 			},
 		},
@@ -78,5 +83,51 @@ func TestConfigWithDefaults(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.check(t, tc.in.withDefaults())
 		})
+	}
+}
+
+// TestNegativeSettingsRejected: every flow refuses a negative numeric
+// setting with an error naming the field, before any stage runs (its
+// recorder stays empty). Zero keeps meaning "use the default".
+func TestNegativeSettingsRejected(t *testing.T) {
+	dev, nl := miniSetup(t)
+	fields := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"ClockMHz", func(c *Config) { c.ClockMHz = -150 }},
+		{"Lambda", func(c *Config) { c.Lambda = -5 }},
+		{"Eta", func(c *Config) { c.Eta = -0.5 }},
+		{"MCFIterations", func(c *Config) { c.MCFIterations = -3 }},
+		{"Rounds", func(c *Config) { c.Rounds = -1 }},
+	}
+	flows := []struct {
+		name string
+		run  func(Config) (*Result, error)
+	}{
+		{"dsplacer", func(c Config) (*Result, error) { return Run(context.Background(), dev, nl, c) }},
+		{"vivado", func(c Config) (*Result, error) {
+			return RunBaseline(context.Background(), dev, nl, placer.ModeVivado, c)
+		}},
+		{"rsad", func(c Config) (*Result, error) { return RunRSAD(context.Background(), dev, nl, c) }},
+	}
+	for _, fl := range flows {
+		for _, f := range fields {
+			t.Run(fl.name+"/"+f.name, func(t *testing.T) {
+				rec := stage.NewRecorder(nil)
+				cfg := Config{MCFIterations: 2, Rounds: 1, Stages: rec}
+				f.set(&cfg)
+				res, err := fl.run(cfg)
+				if err == nil || !strings.Contains(err.Error(), f.name) {
+					t.Fatalf("err %v, want an error naming %s", err, f.name)
+				}
+				if res != nil {
+					t.Fatalf("got a %q result for a negative %s", res.Flow, f.name)
+				}
+				if snap := rec.Snapshot(); len(snap) != 0 {
+					t.Fatalf("stages ran before the check: %v", snap)
+				}
+			})
+		}
 	}
 }

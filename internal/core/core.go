@@ -56,7 +56,8 @@ func (OracleIdentifier) Identify(_ context.Context, nl *netlist.Netlist) ([]int,
 	return out, nil
 }
 
-// GCNIdentifier classifies DSPs with a trained model.
+// GCNIdentifier classifies DSPs with a trained model. Its feature
+// extraction records into FeatureCfg.Stages.
 type GCNIdentifier struct {
 	Model      *gcn.Model
 	FeatureCfg features.Config
@@ -64,14 +65,6 @@ type GCNIdentifier struct {
 
 // Name implements Identifier.
 func (g *GCNIdentifier) Name() string { return "gcn" }
-
-// WithStages returns a copy whose feature extraction records into rec, so
-// concurrent jobs sharing one identifier keep their timings isolated.
-func (g *GCNIdentifier) WithStages(rec *stage.Recorder) Identifier {
-	c := *g
-	c.FeatureCfg.Stages = rec
-	return &c
-}
 
 // Identify implements Identifier.
 func (g *GCNIdentifier) Identify(ctx context.Context, nl *netlist.Netlist) ([]int, error) {
@@ -122,7 +115,8 @@ func BuildSampleContext(ctx context.Context, nl *netlist.Netlist, fcfg features.
 	}, nil
 }
 
-// Config tunes a DSPlacer run.
+// Config tunes a DSPlacer run. A zero numeric setting selects its default;
+// a negative one is an error (Check).
 type Config struct {
 	// ClockMHz is the target frequency (Table I).
 	ClockMHz float64
@@ -143,9 +137,8 @@ type Config struct {
 	Validate ValidateLevel
 	// Stages receives this run's hot-path timings (dspgraph build, the
 	// assignment loop's phases) plus the per-stage flow profile
-	// (core.prototype, core.extraction, ...). nil records into the
-	// process-wide default recorder; concurrent jobs pass their own
-	// recorder so timings stay isolated per run.
+	// (core.prototype, core.extraction, ...); nil records nothing. The
+	// identifier records into its own configuration's recorder, if any.
 	Stages *stage.Recorder
 	// corruptHook is test-only fault injection: when non-nil it may mutate
 	// the stage artifact just before each gate runs, so tests can prove
@@ -169,6 +162,24 @@ const (
 	// placer call of every flow but R-SAD.
 	finalDetailPasses = 2
 )
+
+// Check returns an error naming the first numeric setting below zero.
+// Zero selects a setting's default; a negative value has no meaning, and
+// left to the flow it fails late or places nothing.
+func (c Config) Check() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"ClockMHz", c.ClockMHz}, {"Lambda", c.Lambda}, {"Eta", c.Eta},
+		{"MCFIterations", float64(c.MCFIterations)}, {"Rounds", float64(c.Rounds)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("core: %s is %v; it must not be negative", f.name, f.v)
+		}
+	}
+	return nil
+}
 
 func (c Config) withDefaults() Config {
 	if c.ClockMHz == 0 {
@@ -236,13 +247,17 @@ type flow struct {
 	start time.Time
 }
 
-func newFlow(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, name string, cfg Config) *flow {
+// newFlow starts a run, or fails on a negative setting before any stage.
+func newFlow(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, name string, cfg Config) (*flow, error) {
+	if err := cfg.Check(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	return &flow{
 		ctx: ctx, dev: dev, nl: nl, cfg: cfg,
 		gate:  &gater{level: cfg.Validate, dev: dev, nl: nl, flow: name, corrupt: cfg.corruptHook},
 		start: time.Now(),
-	}
+	}, nil
 }
 
 // check gates the stage boundary named stage on the run's context.
@@ -309,7 +324,10 @@ func (f *flow) finish(pos []geom.Point, siteOf map[int]int, out Result) (*Result
 // stage boundary and inside the assignment loop; once it is done, Run
 // returns an error wrapping both ErrCanceled and the context's error.
 func Run(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Config) (*Result, error) {
-	f := newFlow(ctx, dev, nl, "dsplacer", cfg)
+	f, err := newFlow(ctx, dev, nl, "dsplacer", cfg)
+	if err != nil {
+		return nil, err
+	}
 	cfg = f.cfg
 
 	// --- Prototype placement (off-the-shelf engine, no datapath info) ----
@@ -324,18 +342,7 @@ func Run(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Config)
 		return nil, err
 	}
 	t1 := time.Now()
-	ident := cfg.Identifier
-	if cfg.Stages != nil {
-		// Per-job recorders (dsplacerd) must also capture the identifier's
-		// extraction timers (features.centrality, gsp.filter, ...), so
-		// identifiers that support it get a stage-scoped copy.
-		if sw, ok := ident.(interface {
-			WithStages(*stage.Recorder) Identifier
-		}); ok {
-			ident = sw.WithStages(cfg.Stages)
-		}
-	}
-	datapath, err := ident.Identify(ctx, nl)
+	datapath, err := cfg.Identifier.Identify(ctx, nl)
 	if err != nil {
 		return nil, stageErr("identify", err)
 	}
@@ -399,7 +406,10 @@ func Run(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Config)
 // RunBaseline executes the Vivado-like or AMF-like comparison flow. ctx is
 // consulted at every stage boundary, as in Run.
 func RunBaseline(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, mode placer.Mode, cfg Config) (*Result, error) {
-	f := newFlow(ctx, dev, nl, mode.String(), cfg)
+	f, err := newFlow(ctx, dev, nl, mode.String(), cfg)
+	if err != nil {
+		return nil, err
+	}
 	res, err := f.place(&f.prof.Prototype, "placement", fmt.Sprintf("%v placement", mode),
 		placer.Options{Mode: mode, Seed: f.cfg.Seed, GPIterations: fullGPIters})
 	if err != nil {
@@ -425,7 +435,10 @@ func RunBaseline(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, mod
 // the paper's claim that array-specialized placement does not generalize to
 // diverse accelerator architectures.
 func RunRSAD(ctx context.Context, dev *fpga.Device, nl *netlist.Netlist, cfg Config) (*Result, error) {
-	f := newFlow(ctx, dev, nl, "rsad", cfg)
+	f, err := newFlow(ctx, dev, nl, "rsad", cfg)
+	if err != nil {
+		return nil, err
+	}
 	proto, err := f.place(&f.prof.Prototype, "prototype", "rsad prototype",
 		placer.Options{Mode: placer.ModeVivado, Seed: f.cfg.Seed, GPIterations: fullGPIters})
 	if err != nil {

@@ -330,32 +330,12 @@ func (c *cancelingIdentifier) Identify(ctx context.Context, nl *netlist.Netlist)
 	return c.inner.Identify(ctx, nl)
 }
 
-// WithStages must return a stage-scoped copy, leaving the original
-// identifier untouched so concurrent jobs stay isolated.
-func TestIdentifierWithStagesIsolation(t *testing.T) {
-	g := &GCNIdentifier{FeatureCfg: features.Config{Seed: 3}}
-	rec := stage.NewRecorder()
-	got := g.WithStages(rec)
-	if g.FeatureCfg.Stages != nil {
-		t.Fatal("WithStages mutated the original GCNIdentifier")
-	}
-	if got.(*GCNIdentifier).FeatureCfg.Stages != rec {
-		t.Fatal("copy lacks the recorder")
-	}
-}
-
 // stagedOracleIdentifier extracts features (exercising the extraction
 // timers) but answers with ground truth, so the downstream flow stays legal
 // regardless of classifier quality.
 type stagedOracleIdentifier struct{ fcfg features.Config }
 
 func (s *stagedOracleIdentifier) Name() string { return "staged-oracle" }
-
-func (s *stagedOracleIdentifier) WithStages(rec *stage.Recorder) Identifier {
-	c := *s
-	c.fcfg.Stages = rec
-	return &c
-}
 
 func (s *stagedOracleIdentifier) Identify(ctx context.Context, nl *netlist.Netlist) ([]int, error) {
 	if _, err := features.ExtractContext(ctx, nl, s.fcfg); err != nil {
@@ -364,15 +344,15 @@ func (s *stagedOracleIdentifier) Identify(ctx context.Context, nl *netlist.Netli
 	return OracleIdentifier{}.Identify(ctx, nl)
 }
 
-// The features.centrality and gsp.filter timers must land in the run's own
-// recorder when the flow uses a feature-extracting identifier: Run hands
-// cfg.Stages to identifiers that support WithStages.
+// The features.centrality and gsp.filter timers land in the run's own
+// recorder when the flow's feature-extracting identifier is configured
+// with it.
 func TestRunRecordsCentralityStage(t *testing.T) {
 	dev, nl := miniSetup(t)
-	rec := stage.NewRecorder()
+	rec := stage.NewRecorder(nil)
 	_, err := Run(context.Background(), dev, nl, Config{
 		ClockMHz: 150, MCFIterations: 2, Rounds: 1,
-		Identifier: &stagedOracleIdentifier{fcfg: features.Config{Seed: 2}},
+		Identifier: &stagedOracleIdentifier{fcfg: features.Config{Seed: 2, Stages: rec}},
 		Stages:     rec,
 	})
 	if err != nil {

@@ -97,11 +97,10 @@ func TestBaselineAndRSADCanceled(t *testing.T) {
 
 // TestRunRecordsProfileIntoRecorder pins the cfg.Stages plumbing: a
 // successful run deposits the flow profile and hot-path timings into the
-// caller's recorder, not the process default.
+// caller's recorder.
 func TestRunRecordsProfileIntoRecorder(t *testing.T) {
 	dev, nl := miniSetup(t)
-	rec := stage.NewRecorder()
-	stage.Default.Reset()
+	rec := stage.NewRecorder(nil)
 	cfg := Config{ClockMHz: gen.Small().FreqMHz, MCFIterations: 4, Rounds: 1, Seed: 1, Stages: rec}
 	if _, err := Run(context.Background(), dev, nl, cfg); err != nil {
 		t.Fatal(err)
@@ -114,9 +113,6 @@ func TestRunRecordsProfileIntoRecorder(t *testing.T) {
 	}
 	if got := snap["assign.solve"].Count; got != 1 {
 		t.Errorf("assign.solve count %d, want 1 (one round)", got)
-	}
-	if leaked := stage.Default.Snapshot(); len(leaked) != 0 {
-		t.Errorf("run leaked %d stages into the default recorder: %v", len(leaked), leaked)
 	}
 }
 

@@ -50,8 +50,8 @@ type Config struct {
 	// MaxDepth bounds the IDDFS depth (netlist hops); DSP pairs further
 	// apart are not considered directly connected. Default 8.
 	MaxDepth int
-	// Stages receives the build's timing (dspgraph.build); nil records into
-	// the process-wide default recorder.
+	// Stages receives the build's timing (dspgraph.build); nil records
+	// nothing.
 	Stages *stage.Recorder
 }
 
@@ -152,43 +152,6 @@ func (dg *Graph) StorageAlongPaths() map[int]int {
 		out[e.To] += s
 	}
 	return out
-}
-
-// AverageDSPDistance returns the mean discovered DSP-to-DSP distance per
-// node (feature (g) of §III-A, measured on the constructed graph).
-func (dg *Graph) AverageDSPDistance() map[int]float64 {
-	sum := make(map[int]float64, len(dg.Nodes))
-	cnt := make(map[int]int, len(dg.Nodes))
-	for _, e := range dg.Edges {
-		sum[e.From] += float64(e.Dist)
-		cnt[e.From]++
-		sum[e.To] += float64(e.Dist)
-		cnt[e.To]++
-	}
-	out := make(map[int]float64, len(cnt))
-	for k, s := range sum {
-		out[k] = s / float64(cnt[k])
-	}
-	return out
-}
-
-// Degree returns the number of incident edges per node index.
-func (dg *Graph) Degree() []int {
-	deg := make([]int, len(dg.Nodes))
-	for _, e := range dg.Edges {
-		deg[dg.Index[e.From]]++
-		deg[dg.Index[e.To]]++
-	}
-	return deg
-}
-
-// AsDigraph converts the DSP graph to a graph.Digraph over node indices.
-func (dg *Graph) AsDigraph() *graph.Digraph {
-	g := graph.NewDigraph(len(dg.Nodes))
-	for _, e := range dg.Edges {
-		g.AddEdge(dg.Index[e.From], dg.Index[e.To])
-	}
-	return g
 }
 
 // Validate checks internal consistency.

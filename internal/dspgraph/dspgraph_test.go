@@ -124,33 +124,3 @@ func TestStorageAlongPaths(t *testing.T) {
 		t.Fatalf("storage[d4]=%d want 2", storage[d4])
 	}
 }
-
-func TestAverageDSPDistanceAndDegree(t *testing.T) {
-	nl := peChain()
-	dg := Build(nl, Config{})
-	avg := dg.AverageDSPDistance()
-	d1 := 2 // cell id of d1
-	if avg[d1] <= 0 {
-		t.Fatalf("avg[d1]=%v", avg[d1])
-	}
-	deg := dg.Degree()
-	total := 0
-	for _, d := range deg {
-		total += d
-	}
-	if total != 2*len(dg.Edges) {
-		t.Fatalf("degree sum %d vs 2·edges %d", total, 2*len(dg.Edges))
-	}
-}
-
-func TestAsDigraph(t *testing.T) {
-	nl := peChain()
-	dg := Build(nl, Config{})
-	g := dg.AsDigraph()
-	if g.N() != len(dg.Nodes) {
-		t.Fatal("node count mismatch")
-	}
-	if g.M() != len(dg.Edges) {
-		t.Fatal("edge count mismatch")
-	}
-}

@@ -99,7 +99,7 @@ func (s *Suite) AblationLegalization(w io.Writer, spec gen.Spec, cfg TableIIConf
 	if err != nil {
 		return err
 	}
-	proto, err := placer.Place(s.Dev, nl, placer.Options{Mode: placer.ModeVivado, Seed: cfg.Seed})
+	proto, err := placer.Place(s.Dev, nl, placer.Options{Mode: placer.ModeVivado, Seed: cfg.Seed, Stages: cfg.Stages})
 	if err != nil {
 		return err
 	}
@@ -108,10 +108,10 @@ func (s *Suite) AblationLegalization(w io.Writer, spec gen.Spec, cfg TableIIConf
 	for _, c := range ids {
 		keep[c] = true
 	}
-	dg := dspgraph.Build(nl, dspgraph.Config{}).Filter(func(id int) bool { return keep[id] })
+	dg := dspgraph.Build(nl, dspgraph.Config{Stages: cfg.Stages}).Filter(func(id int) bool { return keep[id] })
 	ar, err := assign.Solve(context.Background(), &assign.Problem{
 		Device: s.Dev, Netlist: nl, Graph: dg, DSPs: ids, Pos: proto.Pos,
-		Lambda: cfg.Lambda, Iterations: cfg.MCFIterations,
+		Lambda: cfg.Lambda, Iterations: cfg.MCFIterations, Stages: cfg.Stages,
 	})
 	if err != nil {
 		return err
@@ -160,9 +160,11 @@ func (s *Suite) AblationGCN(w io.Writer, spec gen.Spec, cfg TableIIConfig, f7 Fi
 
 	fmt.Fprintf(w, "Ablation: GCN-identified vs oracle datapath DSPs on %s.\n", spec.Name)
 	fmt.Fprintf(w, "%12s %8s %10s %12s %12s\n", "identifier", "#dsps", "WNS(ns)", "TNS(ns)", "HPWL")
+	fcfg := f7.featureCfg()
+	fcfg.Stages = cfg.Stages
 	ids := []core.Identifier{
 		core.OracleIdentifier{},
-		&core.GCNIdentifier{Model: model, FeatureCfg: f7.featureCfg()},
+		&core.GCNIdentifier{Model: model, FeatureCfg: fcfg},
 	}
 	for _, id := range ids {
 		picked, err := id.Identify(context.Background(), nl)

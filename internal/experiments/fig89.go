@@ -65,7 +65,7 @@ func (s *Suite) Fig9(w io.Writer, dir string, cfg TableIIConfig) error {
 	for _, c := range ids {
 		datapath[c] = true
 	}
-	dg := dspgraph.Build(nl, dspgraph.Config{})
+	dg := dspgraph.Build(nl, dspgraph.Config{Stages: cfg.Stages})
 	dpGraph := dg.Filter(func(id int) bool { return datapath[id] })
 	var edges [][2]int
 	for _, e := range dpGraph.Edges {

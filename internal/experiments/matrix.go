@@ -11,7 +11,6 @@ import (
 	"dsplacer/internal/gen"
 	"dsplacer/internal/metrics"
 	"dsplacer/internal/par"
-	"dsplacer/internal/stage"
 )
 
 // MatrixCell is one (device, family) entry of the cross-device QoR matrix.
@@ -29,7 +28,7 @@ type MatrixCell struct {
 // pair and summarizes its QoR. The spec's Family selects the topology; the
 // device comes from the registry by name.
 func RunMatrixCell(ctx context.Context, devName string, spec gen.Spec, cfg TableIIConfig) (*MatrixCell, error) {
-	defer stage.Start("experiments.matrix.cell")()
+	defer cfg.Stages.Start("experiments.matrix.cell")()
 	dev, err := fpga.Lookup(devName)
 	if err != nil {
 		return nil, err

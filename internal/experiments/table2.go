@@ -41,6 +41,10 @@ type TableIIConfig struct {
 	// experiment runs (off by default: the experiments measure quality, and
 	// the integration tests already gate every stage).
 	Validate core.ValidateLevel
+	// Stages receives the timings of every flow the experiment runs and of
+	// its rows and cells (experiments.table2.row, experiments.matrix.cell);
+	// nil records nothing.
+	Stages *stage.Recorder
 }
 
 func (c TableIIConfig) coreConfig(spec gen.Spec) core.Config {
@@ -51,12 +55,13 @@ func (c TableIIConfig) coreConfig(spec gen.Spec) core.Config {
 		Rounds:        c.Rounds,
 		Seed:          c.Seed + spec.Seed,
 		Validate:      c.Validate,
+		Stages:        c.Stages,
 	}
 }
 
 // RunTableIIRow executes all three flows on one benchmark.
 func (s *Suite) RunTableIIRow(spec gen.Spec, cfg TableIIConfig) (*TableIIRow, error) {
-	defer stage.Start("experiments.table2.row")()
+	defer cfg.Stages.Start("experiments.table2.row")()
 	nl, err := s.Netlist(spec)
 	if err != nil {
 		return nil, err

@@ -56,7 +56,7 @@ type Config struct {
 	// Seed drives probe generation.
 	Seed int64
 	// Stages receives the extraction's timing (features.centrality and
-	// gsp.filter); nil records into the process-wide default recorder.
+	// gsp.filter); nil records nothing.
 	Stages *stage.Recorder
 }
 

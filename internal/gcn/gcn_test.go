@@ -177,21 +177,6 @@ func TestDropoutOnlyInTraining(t *testing.T) {
 	}
 }
 
-func TestLeaveOneOut(t *testing.T) {
-	samples := []*Sample{ringSample(24, 10), ringSample(24, 11), ringSample(24, 12)}
-	cfg := smallCfg()
-	cfg.Epochs = 80
-	accs := LeaveOneOut(cfg, samples)
-	if len(accs) != 3 {
-		t.Fatalf("accs=%v", accs)
-	}
-	for i, a := range accs {
-		if a < 0.75 {
-			t.Fatalf("fold %d accuracy %v too low", i, a)
-		}
-	}
-}
-
 func TestPredictProbabilitiesConsistent(t *testing.T) {
 	s := ringSample(10, 6)
 	m := NewModel(smallCfg())

@@ -91,21 +91,3 @@ func meanAccuracy(m *Model, samples []*Sample) float64 {
 	}
 	return sum / float64(len(samples))
 }
-
-// LeaveOneOut reproduces the evaluation protocol of §V-B: for each sample,
-// train on the remaining samples and test on the held-out one. It returns
-// the per-benchmark test accuracy in input order.
-func LeaveOneOut(cfg Config, samples []*Sample) []float64 {
-	accs := make([]float64, len(samples))
-	for i := range samples {
-		var train []*Sample
-		for j, s := range samples {
-			if j != i {
-				train = append(train, s)
-			}
-		}
-		model, _ := Train(cfg, train, samples[i])
-		accs[i] = model.Accuracy(samples[i])
-	}
-	return accs
-}

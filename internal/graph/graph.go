@@ -55,10 +55,6 @@ func (g *Digraph) HasEdge(u, v int) bool {
 // not be mutated.
 func (g *Digraph) Out(u int) []int { return g.out[u] }
 
-// In returns the predecessors of u. The slice is owned by the graph and must
-// not be mutated.
-func (g *Digraph) In(u int) []int { return g.in[u] }
-
 // OutDegree returns the number of outgoing edges of u.
 func (g *Digraph) OutDegree(u int) int { return len(g.out[u]) }
 
@@ -159,17 +155,6 @@ func EdgeKey(a, b int) uint64 { return uint64(a)<<32 | uint64(uint32(b)) }
 func DedupEdges(keys []uint64) []uint64 {
 	slices.Sort(keys)
 	return slices.Compact(keys)
-}
-
-// Reverse returns the transpose graph.
-func (g *Digraph) Reverse() *Digraph {
-	r := NewDigraph(g.N())
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.out[u] {
-			r.AddEdge(v, u)
-		}
-	}
-	return r
 }
 
 // Clone returns a deep copy of g.

@@ -41,10 +41,6 @@ func TestBasicAccessors(t *testing.T) {
 	if g.OutDegree(0) != 2 || g.InDegree(2) != 2 {
 		t.Fatal("degrees wrong")
 	}
-	r := g.Reverse()
-	if !r.HasEdge(1, 0) || r.HasEdge(0, 1) {
-		t.Fatal("reverse wrong")
-	}
 	c := g.Clone()
 	c.AddEdge(2, 0)
 	if g.HasEdge(2, 0) {
@@ -84,20 +80,6 @@ func TestBFSDistances(t *testing.T) {
 	for i := range want {
 		if d[i] != want[i] {
 			t.Errorf("d[%d]=%d want %d", i, d[i], want[i])
-		}
-	}
-}
-
-func TestDFSPreorder(t *testing.T) {
-	g := NewDigraph(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 3)
-	got := g.DFSPreorder(0)
-	want := []int{0, 1, 3, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("preorder %v, want %v", got, want)
 		}
 	}
 }

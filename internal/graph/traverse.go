@@ -28,30 +28,6 @@ func (g *Digraph) BFSDistances(src int) []int {
 	return dist
 }
 
-// DFSPreorder returns the nodes reachable from src in depth-first preorder.
-func (g *Digraph) DFSPreorder(src int) []int {
-	visited := make([]bool, g.N())
-	var order []int
-	stack := []int{src}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if visited[u] {
-			continue
-		}
-		visited[u] = true
-		order = append(order, u)
-		// Push successors in reverse so that the first successor is
-		// explored first, matching recursive DFS.
-		for i := len(g.out[u]) - 1; i >= 0; i-- {
-			if !visited[g.out[u][i]] {
-				stack = append(stack, g.out[u][i])
-			}
-		}
-	}
-	return order
-}
-
 // IDDFSResult records one shortest path found by iterative-deepening DFS.
 type IDDFSResult struct {
 	Target int

@@ -26,8 +26,7 @@ type Options struct {
 	// Seed drives probe generation; the probe matrix is a pure function of
 	// (Seed, n, Probes), so runs are exactly repeatable.
 	Seed int64
-	// Stages receives the filter timing (gsp.filter); nil records into the
-	// process-wide default recorder.
+	// Stages receives the filter timing (gsp.filter); nil records nothing.
 	Stages *stage.Recorder
 }
 

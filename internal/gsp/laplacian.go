@@ -112,7 +112,7 @@ func (lap *Laplacian) DiffusionCoeffs(s int) []float64 {
 // deterministic MulDenseParInto kernel. ctx is consulted once per recursion
 // step (one step is one SpMM over the whole graph); cancellation returns an
 // error wrapping ctx.Err(). The run is recorded under the "gsp.filter"
-// stage in rec (nil records into the process default).
+// stage in rec (nil records nothing).
 func (lap *Laplacian) ApplyMulti(ctx context.Context, coeffs [][]float64, X *mat.Dense, rec *stage.Recorder) ([]*mat.Dense, error) {
 	defer rec.Start("gsp.filter")()
 	K := 0

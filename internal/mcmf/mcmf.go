@@ -55,9 +55,7 @@ type ArcID int32
 // The zero value is not usable; call NewSolver.
 type Solver struct {
 	// Stages receives the solver's phase timings (mcmf.potentials,
-	// mcmf.dijkstra, mcmf.augment); nil records into the process-wide
-	// default recorder. Set it when the solve belongs to an isolated flow
-	// (one placement job of many running concurrently).
+	// mcmf.dijkstra, mcmf.augment); nil records nothing.
 	Stages *stage.Recorder
 
 	// StopAtSink ends each shortest-path search as soon as the sink

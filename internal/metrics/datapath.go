@@ -1,32 +1,10 @@
 package metrics
 
 import (
-	"dsplacer/internal/dspgraph"
 	"dsplacer/internal/fpga"
 	"dsplacer/internal/geom"
 	"dsplacer/internal/netlist"
 )
-
-// DatapathDisorder reports the mean Eq. 6 penalty per datapath DSP-graph
-// edge: cos θ_pred − cos θ_succ measured from the PS corner. Negative or
-// near-zero means the dataflow angles are ordered the way the λ term wants;
-// large positive means the layout fights the PS→PL→PS flow. Within one
-// vertical cascade the value is a small positive constant (the successor
-// sits one site higher), so differences between flows reflect where whole
-// cascades land relative to the PS corner.
-func DatapathDisorder(dev *fpga.Device, dg *dspgraph.Graph, pos []geom.Point) float64 {
-	if len(dg.Edges) == 0 {
-		return 0
-	}
-	corner := dev.PSCorner()
-	sum := 0.0
-	for _, e := range dg.Edges {
-		cp := pos[e.From].Sub(corner).CosAngle()
-		cs := pos[e.To].Sub(corner).CosAngle()
-		sum += cp - cs
-	}
-	return sum / float64(len(dg.Edges))
-}
 
 // CascadeAlignment reports the fraction of the netlist's cascade pairs
 // whose two DSPs landed on consecutive rows of one DSP column — the hard

@@ -3,12 +3,11 @@ package metrics
 import (
 	"testing"
 
-	"dsplacer/internal/dspgraph"
 	"dsplacer/internal/fpga"
 	"dsplacer/internal/geom"
 )
 
-func devForDisorder(t *testing.T) *fpga.Device {
+func testDevice(t *testing.T) *fpga.Device {
 	t.Helper()
 	d, err := fpga.NewDevice(fpga.Config{
 		Name: "m", Pattern: "CD", Repeats: 2, RegionRows: 1, PSWidth: 2, PSHeight: 10,
@@ -19,28 +18,8 @@ func devForDisorder(t *testing.T) *fpga.Device {
 	return d
 }
 
-func TestDatapathDisorder(t *testing.T) {
-	dev := devForDisorder(t)
-	dg := &dspgraph.Graph{
-		Nodes: []int{0, 1},
-		Index: map[int]int{0: 0, 1: 1},
-		Edges: []dspgraph.Edge{{From: 0, To: 1, Dist: 1}},
-	}
-	// Ordered: predecessor above the PS (large angle → small cos),
-	// successor to its right (small angle → large cos) → negative penalty.
-	ordered := []geom.Point{{X: 0.5, Y: 30}, {X: 3, Y: 0.5}}
-	if got := DatapathDisorder(dev, dg, ordered); got >= 0 {
-		t.Fatalf("ordered layout disorder = %v, want negative", got)
-	}
-	// Reversed: the edge violates Eq. 6 → positive penalty.
-	reversed := []geom.Point{{X: 3, Y: 0.5}, {X: 0.5, Y: 30}}
-	if got := DatapathDisorder(dev, dg, reversed); got <= 0 {
-		t.Fatalf("reversed layout disorder = %v, want positive", got)
-	}
-}
-
 func TestDatapathPSDistance(t *testing.T) {
-	dev := devForDisorder(t)
+	dev := testDevice(t)
 	pos := []geom.Point{{X: 1, Y: 1}, {X: 10, Y: 20}}
 	got := DatapathPSDistance(dev, []int{0, 1}, pos)
 	want := (2.0 + 30.0) / 2
@@ -49,13 +28,5 @@ func TestDatapathPSDistance(t *testing.T) {
 	}
 	if DatapathPSDistance(dev, nil, pos) != 0 {
 		t.Fatal("empty cells should give 0")
-	}
-}
-
-func TestDatapathDisorderEmpty(t *testing.T) {
-	dev := devForDisorder(t)
-	dg := &dspgraph.Graph{}
-	if got := DatapathDisorder(dev, dg, nil); got != 0 {
-		t.Fatalf("empty graph disorder = %v", got)
 	}
 }

@@ -1,11 +1,9 @@
-// Package metrics computes the placement quality numbers reported in
-// Table II: half-perimeter wirelength (HPWL), displacement, and simple
-// distribution summaries.
+// Package metrics computes the placement quality numbers the flows and
+// experiments report: half-perimeter wirelength (HPWL, Table II), cascade
+// alignment and the datapath's distance from the PS corner (Fig. 9).
 package metrics
 
 import (
-	"math"
-
 	"dsplacer/internal/geom"
 	"dsplacer/internal/netlist"
 )
@@ -39,45 +37,4 @@ func NetHPWL(n *netlist.Net, pos []geom.Point) float64 {
 		r = r.Expand(pos[s])
 	}
 	return r.HalfPerimeter()
-}
-
-// TotalDisplacement returns the summed Manhattan distance between two
-// placements over the given cell ids (all cells when ids is nil).
-func TotalDisplacement(a, b []geom.Point, ids []int) float64 {
-	total := 0.0
-	if ids == nil {
-		for i := range a {
-			total += a[i].Manhattan(b[i])
-		}
-		return total
-	}
-	for _, i := range ids {
-		total += a[i].Manhattan(b[i])
-	}
-	return total
-}
-
-// Summary describes a sample distribution.
-type Summary struct {
-	Min, Max, Mean, Sum float64
-	N                   int
-}
-
-// Summarize computes min/max/mean/sum of xs.
-func Summarize(xs []float64) Summary {
-	s := Summary{Min: math.Inf(1), Max: math.Inf(-1), N: len(xs)}
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	for _, x := range xs {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-		s.Sum += x
-	}
-	s.Mean = s.Sum / float64(s.N)
-	return s
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"testing"
 
 	"dsplacer/internal/geom"
@@ -24,26 +23,5 @@ func TestHPWL(t *testing.T) {
 	n.Weight = 2
 	if got := HPWL(nl, pos); got != 14 {
 		t.Fatalf("weighted HPWL=%v", got)
-	}
-}
-
-func TestTotalDisplacement(t *testing.T) {
-	a := []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 1}}
-	b := []geom.Point{{X: 1, Y: 0}, {X: 1, Y: 3}}
-	if got := TotalDisplacement(a, b, nil); got != 3 {
-		t.Fatalf("disp=%v", got)
-	}
-	if got := TotalDisplacement(a, b, []int{1}); got != 2 {
-		t.Fatalf("disp ids=%v", got)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{3, 1, 2})
-	if s.Min != 1 || s.Max != 3 || s.Sum != 6 || s.N != 3 || math.Abs(s.Mean-2) > 1e-12 {
-		t.Fatalf("summary %+v", s)
-	}
-	if z := Summarize(nil); z.N != 0 || z.Sum != 0 {
-		t.Fatalf("empty summary %+v", z)
 	}
 }

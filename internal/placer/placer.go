@@ -64,8 +64,7 @@ type Options struct {
 	// (default 8).
 	GPIterations int
 	// Stages receives the run's per-phase timings (placer.gradient,
-	// placer.density, placer.global, placer.legalize). nil records into the
-	// process-wide default recorder.
+	// placer.density, placer.global, placer.legalize); nil records nothing.
 	Stages *stage.Recorder
 	// FixedSites pins DSP cells to device DSP site indices (ModeDSPlacer:
 	// the datapath DSP result). These cells are immovable.

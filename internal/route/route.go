@@ -9,7 +9,6 @@ package route
 
 import (
 	"math"
-	"time"
 
 	"dsplacer/internal/fpga"
 	"dsplacer/internal/geom"
@@ -57,8 +56,6 @@ type Result struct {
 	// congestion heatmaps (indexed [y*GridNX+x]).
 	GridNX, GridNY int
 	HUtil, VUtil   []float64
-	// Time is the routing runtime.
-	Time time.Duration
 }
 
 // grid holds horizontal and vertical edge usage. hUse[y][x] is the edge
@@ -202,7 +199,6 @@ func absI(v int) int {
 // Route routes every net of nl at the given positions.
 func Route(dev *fpga.Device, nl *netlist.Netlist, pos []geom.Point, opt Options) *Result {
 	opt = opt.withDefaults()
-	t0 := time.Now()
 	g := newGrid(dev.Width, dev.Height, opt.BinSize, opt.Capacity)
 
 	type conn struct {
@@ -393,6 +389,5 @@ func Route(dev *fpga.Device, nl *netlist.Netlist, pos []geom.Point, opt Options)
 	for i, u := range g.vUse {
 		res.VUtil[i] = float64(u) / g.cap
 	}
-	res.Time = time.Since(t0)
 	return res
 }

@@ -1,7 +1,7 @@
 // Package server implements the dsplacerd HTTP API (DESIGN.md §11, §14): a
 // JSON job interface over the placement flows in internal/core, backed by
 // the fair-share scheduler in internal/jobs and a pluggable content-addressed
-// result cache (internal/cache.Store — in-process LRU, sharded, or peered
+// result cache (internal/cache.Store — an in-process LRU, or one peered
 // across daemons via cache/remote).
 //
 // Endpoints:
@@ -56,9 +56,9 @@ type Config struct {
 	CacheSize    int          // result cache capacity; default 64
 	MaxBodyBytes int64        // request body cap; default 256 MiB
 
-	// Cache, when non-nil, replaces the built-in LRU with any cache.Store —
-	// a Sharded store, or a Peered composition reaching other daemons
-	// through cache/remote clients. CacheSize is ignored when set.
+	// Cache, when non-nil, replaces the built-in LRU with any cache.Store,
+	// such as a Peered composition reaching other daemons through
+	// cache/remote clients. CacheSize is ignored when set.
 	Cache cache.Store
 }
 
@@ -149,7 +149,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // PlaceRequest is the POST /v1/jobs body. A numeric field left at zero
-// takes its default; a negative one is answered with 400.
+// takes its default; a negative one is answered with 400 (the placement
+// settings by core.Config.Check, the rule every flow applies).
 type PlaceRequest struct {
 	// Netlist is the design to place, in the netlist JSON schema.
 	Netlist json.RawMessage `json:"netlist"`
@@ -177,27 +178,6 @@ type PlaceRequest struct {
 	Tenant string `json:"tenant,omitempty"`
 	// TimeoutMS bounds the job's run time once it starts; zero = unlimited.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-// negativeField names the first numeric field of r below zero, or returns
-// "". Zero selects a field's default; a negative value has no meaning, and
-// left to the flow it fails late or places nothing.
-func (r *PlaceRequest) negativeField() string {
-	switch {
-	case r.FreqMHz < 0:
-		return "freq_mhz"
-	case r.Lambda < 0:
-		return "lambda"
-	case r.Eta < 0:
-		return "eta"
-	case r.MCFIters < 0:
-		return "mcf_iters"
-	case r.Rounds < 0:
-		return "rounds"
-	case r.TimeoutMS < 0:
-		return "timeout_ms"
-	}
-	return ""
 }
 
 // JobDoc is the wire form of a job returned by GET/DELETE /v1/jobs/{id}.
@@ -312,8 +292,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "missing netlist")
 		return
 	}
-	if field := req.negativeField(); field != "" {
-		httpError(w, http.StatusBadRequest, "%s must not be negative", field)
+	if req.TimeoutMS < 0 {
+		httpError(w, http.StatusBadRequest, "timeout_ms must not be negative")
+		return
+	}
+	cfg := core.Config{
+		ClockMHz: req.FreqMHz, Lambda: req.Lambda, Eta: req.Eta,
+		MCFIterations: req.MCFIters, Rounds: req.Rounds, Seed: req.Seed,
+	}
+	if err := cfg.Check(); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// The netlist travels through the streaming reader so the service and
@@ -356,11 +344,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	cfg := core.Config{
-		ClockMHz: req.FreqMHz, Lambda: req.Lambda, Eta: req.Eta,
-		MCFIterations: req.MCFIters, Rounds: req.Rounds, Seed: req.Seed,
-		Validate: level,
-	}
+	cfg.Validate = level
 	key := s.requestKey(req, dev, flow, level)
 
 	// The hub exists (with its "queued" event) before the scheduler sees the
@@ -470,9 +454,9 @@ func (s *Server) place(ctx context.Context, key cache.Key, dev *fpga.Device, flo
 // stage boundaries to the job's hub.
 func (s *Server) runPlacement(ctx context.Context, dev *fpga.Device, flow string, mode placer.Mode, nl *netlist.Netlist, cfg core.Config, h *hub) (*outcome, error) {
 	s.runs.Add(1)
-	rec := stage.NewRecorder()
+	var obs stage.Observer
 	if h != nil {
-		rec.SetObserver(func(name string, d time.Duration, start bool) {
+		obs = func(name string, d time.Duration, start bool) {
 			ev := Event{Type: "stage", Stage: name}
 			if start {
 				ev.Phase = "start"
@@ -481,8 +465,9 @@ func (s *Server) runPlacement(ctx context.Context, dev *fpga.Device, flow string
 				ev.ElapsedMS = float64(d) / float64(time.Millisecond)
 			}
 			h.publish(ev)
-		})
+		}
 	}
+	rec := stage.NewRecorder(obs)
 	cfg.Stages = rec
 	var res *core.Result
 	var err error

@@ -7,11 +7,12 @@
 // table — while staying cheap enough to leave enabled: one mutexed map
 // update per stage invocation, never per inner-loop item.
 //
-// Recording goes through a *Recorder so concurrent flows can each own an
-// isolated set of accumulators (the placement daemon gives every job its
-// own); the historical package-level functions remain as a shim over the
-// process-wide Default recorder, and a nil *Recorder records into Default,
-// so single-flow callers need no wiring at all.
+// Every recorder is explicit: a caller that wants timings creates one with
+// NewRecorder and hands it down through the optional `Stages` fields of
+// the configs it passes, so concurrent flows each own an isolated set of
+// accumulators (the placement daemon gives every job its own). A nil
+// *Recorder records nothing, so a flow given no recorder writes no state
+// beyond its result.
 package stage
 
 import (
@@ -41,55 +42,32 @@ type Stat struct {
 type Observer func(name string, d time.Duration, start bool)
 
 // Recorder is one isolated set of stage accumulators. All methods are safe
-// for concurrent use, and all of them treat a nil receiver as Default, so
-// an optional `Stages *stage.Recorder` field needs no nil checks at the
-// recording sites.
+// for concurrent use, and all of them accept a nil receiver, which records
+// nothing, so an optional `Stages *stage.Recorder` field needs no nil
+// checks at the recording sites.
 type Recorder struct {
+	obs Observer // fixed at construction, so reads need no lock
+
 	mu     sync.Mutex
 	stages map[string]*Stat
-	obs    Observer
 }
 
-// NewRecorder returns an empty, ready-to-use recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// Default is the process-wide recorder behind the package-level functions
-// and behind every nil *Recorder.
-var Default = NewRecorder()
-
-// or resolves the nil-receiver-means-Default contract.
-func (r *Recorder) or() *Recorder {
-	if r == nil {
-		return Default
-	}
-	return r
-}
-
-// SetObserver registers obs to be notified of every Start and Add on this
-// recorder (nil disables). The placement daemon uses it to stream per-stage
-// progress events for a job without any change to the flows that record.
-func (r *Recorder) SetObserver(obs Observer) {
-	r = r.or()
-	r.mu.Lock()
-	r.obs = obs
-	r.mu.Unlock()
-}
-
-// observer returns the current observer under the lock.
-func (r *Recorder) observer() Observer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.obs
-}
+// NewRecorder returns an empty, ready-to-use recorder. A non-nil obs is
+// notified of every Start and Add; the placement daemon uses it to stream
+// per-stage progress events for a job without any change to the flows
+// that record.
+func NewRecorder(obs Observer) *Recorder { return &Recorder{obs: obs} }
 
 // Start records the start of one invocation of the named stage and returns
 // the function that stops the clock. Intended usage:
 //
 //	defer rec.Start("dspgraph.build")()
 func (r *Recorder) Start(name string) func() {
-	rr := r.or()
-	if obs := rr.observer(); obs != nil {
-		obs(name, 0, true)
+	if r == nil {
+		return func() {}
+	}
+	if r.obs != nil {
+		r.obs(name, 0, true)
 	}
 	t0 := time.Now()
 	return func() { r.Add(name, time.Since(t0)) }
@@ -97,22 +75,12 @@ func (r *Recorder) Start(name string) func() {
 
 // Add folds one completed invocation of duration d into the stage.
 func (r *Recorder) Add(name string, d time.Duration) {
-	r = r.or()
-	r.mu.Lock()
-	if r.stages == nil {
-		r.stages = make(map[string]*Stat)
+	if r == nil {
+		return
 	}
-	s := r.stages[name]
-	if s == nil {
-		s = &Stat{}
-		r.stages[name] = s
-	}
-	s.Count++
-	s.Total += d
-	obs := r.obs
-	r.mu.Unlock()
-	if obs != nil {
-		obs(name, d, false)
+	r.fold(name, 1, d)
+	if r.obs != nil {
+		r.obs(name, d, false)
 	}
 }
 
@@ -122,11 +90,16 @@ func (r *Recorder) Add(name string, d time.Duration) {
 // without a second registry; observers are not notified — counters are
 // aggregates, not invocation boundaries.
 func (r *Recorder) AddN(name string, n int64) {
-	if n == 0 {
+	if r == nil || n == 0 {
 		return
 	}
-	r = r.or()
+	r.fold(name, n, 0)
+}
+
+// fold adds n invocations totalling d to the named accumulator.
+func (r *Recorder) fold(name string, n int64, d time.Duration) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.stages == nil {
 		r.stages = make(map[string]*Stat)
 	}
@@ -136,15 +109,18 @@ func (r *Recorder) AddN(name string, n int64) {
 		r.stages[name] = s
 	}
 	s.Count += n
-	r.mu.Unlock()
+	s.Total += d
 }
 
-// Snapshot returns a copy of every stage accumulator. The Stat values are
-// copied under the recorder's lock, so a snapshot taken while other
-// goroutines Add is internally consistent: each entry is some complete
-// prefix of that stage's Add history, never a torn Count/Total pair.
+// Snapshot returns a copy of every stage accumulator (empty for a nil
+// recorder). The Stat values are copied under the recorder's lock, so a
+// snapshot taken while other goroutines Add is internally consistent: each
+// entry is some complete prefix of that stage's Add history, never a torn
+// Count/Total pair.
 func (r *Recorder) Snapshot() map[string]Stat {
-	r = r.or()
+	if r == nil {
+		return map[string]Stat{}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make(map[string]Stat, len(r.stages))
@@ -152,14 +128,6 @@ func (r *Recorder) Snapshot() map[string]Stat {
 		out[k] = *v
 	}
 	return out
-}
-
-// Reset clears all stage accumulators (tests, repeated experiment runs).
-func (r *Recorder) Reset() {
-	r = r.or()
-	r.mu.Lock()
-	r.stages = nil
-	r.mu.Unlock()
 }
 
 // Report writes the accumulators as a fixed-width table, sorted by name so
@@ -181,21 +149,3 @@ func (r *Recorder) Report(w io.Writer) {
 		fmt.Fprintf(w, "%-32s %8d %14s %14s\n", k, s.Count, s.Total, mean)
 	}
 }
-
-// Start records into the Default recorder; see Recorder.Start.
-func Start(name string) func() { return Default.Start(name) }
-
-// Add records into the Default recorder; see Recorder.Add.
-func Add(name string, d time.Duration) { Default.Add(name, d) }
-
-// AddN counts into the Default recorder; see Recorder.AddN.
-func AddN(name string, n int64) { Default.AddN(name, n) }
-
-// Snapshot snapshots the Default recorder; see Recorder.Snapshot.
-func Snapshot() map[string]Stat { return Default.Snapshot() }
-
-// Reset clears the Default recorder; see Recorder.Reset.
-func Reset() { Default.Reset() }
-
-// Report reports the Default recorder; see Recorder.Report.
-func Report(w io.Writer) { Default.Report(w) }
