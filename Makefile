@@ -86,6 +86,7 @@ bench-module:
 bench:
 	go test -run '^$$' -bench 'DSPGraphBuild|AssignIteration|MinCostFlow|GlobalPlace|Features' -benchmem .  && \
 	go test -run '^$$' -bench . -benchmem ./internal/mcmf/ && \
+	go test -run '^$$' -bench 'ForEach' -benchmem ./internal/par/ && \
 	go test -run '^$$' -bench 'Refine' -benchmem ./internal/detailed/ && \
 	go test -run '^$$' -bench 'SubmitThroughput' -benchmem ./internal/jobs/
 

@@ -29,7 +29,8 @@ func main() {
 	epochs := flag.Int("epochs", 120, "training epochs")
 	evalPath := flag.String("eval", "", "evaluate -model on this netlist instead of training")
 	modelPath := flag.String("model", "", "model to evaluate (with -eval)")
-	common := cli.RegisterCommon(flag.CommandLine, 1, "off")
+	// train runs no placement flow, so it takes no -validate.
+	common := cli.RegisterCommon(flag.CommandLine, 1, "")
 	flag.Parse()
 	stop := common.Start()
 	defer stop()

@@ -68,8 +68,8 @@ func (p *Profiling) Start() (stop func()) {
 
 // Common is the flag bundle the commands that run placement flows share:
 // the stochastic seed, the stage-boundary DRC gating level, the profiling
-// pair and -stages. Commands that run no placement flow simply ignore the
-// fields they have no use for.
+// pair and -stages. A command that runs no placement flow (train) registers
+// it without -validate.
 type Common struct {
 	// Seed drives every stochastic component.
 	Seed int64
@@ -84,13 +84,16 @@ type Common struct {
 }
 
 // RegisterCommon registers the shared flags on fs (pass flag.CommandLine
-// for a main) with the given defaults and returns the bundle. Call
-// Common.Start after fs.Parse and run the returned stop function before
-// the process exits.
+// for a main) with the given defaults and returns the bundle. An empty
+// defaultValidate, which is no level, leaves -validate unregistered, and
+// Validate must not be called. Call Common.Start after fs.Parse and run
+// the returned stop function before the process exits.
 func RegisterCommon(fs *flag.FlagSet, defaultSeed int64, defaultValidate string) *Common {
 	c := &Common{prof: RegisterProfiling(fs)}
 	fs.Int64Var(&c.Seed, "seed", defaultSeed, "random seed")
-	fs.StringVar(&c.validate, "validate", defaultValidate, "stage-boundary DRC gating: off, final or stages")
+	if defaultValidate != "" {
+		fs.StringVar(&c.validate, "validate", defaultValidate, "stage-boundary DRC gating: off, final or stages")
+	}
 	fs.BoolVar(&c.stages, "stages", false, "print the hot-path stage-timing counters on exit")
 	return c
 }

@@ -2,6 +2,8 @@ package cli
 
 import (
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -108,5 +110,25 @@ func TestRegisterProfilingOnlyProfiles(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
 	if len(names) != 2 || names[0] != "cpuprofile" || names[1] != "memprofile" {
 		t.Fatalf("flags %v, want [cpuprofile memprofile]", names)
+	}
+}
+
+// TestRegisterCommonWithoutValidate: an empty default validate level (a
+// command that runs no flow) registers every shared flag but -validate, so
+// passing it is a usage error instead of a silently ignored value.
+func TestRegisterCommonWithoutValidate(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	c := RegisterCommon(fs, 1, "")
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if want := "[cpuprofile memprofile seed stages]"; fmt.Sprint(names) != want {
+		t.Fatalf("flags %v, want %s", names, want)
+	}
+	if err := fs.Parse([]string{"-validate", "bogus"}); err == nil {
+		t.Fatal("-validate parsed without being registered")
+	}
+	if err := fs.Parse([]string{"-seed", "4", "-stages"}); err != nil || c.Seed != 4 {
+		t.Fatalf("parse: err %v, seed %d", err, c.Seed)
 	}
 }

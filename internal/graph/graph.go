@@ -41,16 +41,6 @@ func (g *Digraph) AddEdge(u, v int) {
 	g.m++
 }
 
-// HasEdge reports whether the edge u→v exists.
-func (g *Digraph) HasEdge(u, v int) bool {
-	for _, w := range g.out[u] {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Out returns the successors of u. The slice is owned by the graph and must
 // not be mutated.
 func (g *Digraph) Out(u int) []int { return g.out[u] }
@@ -155,15 +145,4 @@ func EdgeKey(a, b int) uint64 { return uint64(a)<<32 | uint64(uint32(b)) }
 func DedupEdges(keys []uint64) []uint64 {
 	slices.Sort(keys)
 	return slices.Compact(keys)
-}
-
-// Clone returns a deep copy of g.
-func (g *Digraph) Clone() *Digraph {
-	c := NewDigraph(g.N())
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.out[u] {
-			c.AddEdge(u, v)
-		}
-	}
-	return c
 }

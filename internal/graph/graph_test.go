@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -35,16 +36,11 @@ func TestBasicAccessors(t *testing.T) {
 	if g.N() != 3 || g.M() != 3 {
 		t.Fatalf("N=%d M=%d", g.N(), g.M())
 	}
-	if !g.HasEdge(0, 1) || g.HasEdge(1, 0) {
-		t.Fatal("HasEdge wrong")
-	}
 	if g.OutDegree(0) != 2 || g.InDegree(2) != 2 {
 		t.Fatal("degrees wrong")
 	}
-	c := g.Clone()
-	c.AddEdge(2, 0)
-	if g.HasEdge(2, 0) {
-		t.Fatal("clone aliases original")
+	if !slices.Equal(g.Out(0), []int{1, 2}) || len(g.Out(2)) != 0 {
+		t.Fatalf("Out(0)=%v Out(2)=%v", g.Out(0), g.Out(2))
 	}
 }
 
@@ -285,7 +281,7 @@ func TestIDDFSMatchesBFS(t *testing.T) {
 			}
 			// Path must be valid edges.
 			for i := 0; i+1 < len(r.Path); i++ {
-				if !g.HasEdge(r.Path[i], r.Path[i+1]) {
+				if !slices.Contains(g.Out(r.Path[i]), r.Path[i+1]) {
 					return false
 				}
 			}

@@ -103,55 +103,14 @@ func sortSegmentByCol(seg []COO) {
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.Val) }
 
-// MulDense returns m × d (SpMM), parallelized over sparse rows.
-func (m *CSR) MulDense(d *Dense) *Dense {
-	if m.C != d.R {
-		panic(fmt.Sprintf("mat: spmm dims %dx%d × %dx%d", m.R, m.C, d.R, d.C))
-	}
-	out := NewDense(m.R, d.C)
-	parallelRows(m.R, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			oi := out.Row(i)
-			for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-				v := m.Val[p]
-				dr := d.Row(m.ColIdx[p])
-				for j, b := range dr {
-					oi[j] += v * b
-				}
-			}
-		}
-	})
-	return out
-}
-
-// MulVec computes y = m·x (SpMV) into the caller-provided slice,
-// parallelized over sparse rows. Each row's dot product accumulates in
-// stored-column order on one goroutine and lands in its own output slot, so
-// the result is bit-identical at any worker count. Reusing y across calls
-// keeps the hot path (the placer's per-iteration dataflow-force assembly)
-// allocation-free.
-func (m *CSR) MulVec(x, y []float64) {
-	if len(x) != m.C || len(y) != m.R {
-		panic(fmt.Sprintf("mat: spmv dims %dx%d × %d into %d", m.R, m.C, len(x), len(y)))
-	}
-	parallelRows(m.R, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := 0.0
-			for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-				s += m.Val[p] * x[m.ColIdx[p]]
-			}
-			y[i] = s
-		}
-	})
-}
-
-// MulVecPar computes y = m·x (SpMV) into the caller-provided slice, sharded
+// MulVec computes y = m·x (SpMV) into the caller-provided slice, sharded
 // over the internal/par worker pool. Rows are split into par.DefaultShards
 // fixed contiguous ranges; every row's dot product accumulates in stored-
 // column order on one goroutine and lands in its own output slot, so the
-// result is bit-identical at any GOMAXPROCS — the shared SpMV contract the
-// gsp filter and the placer force assembly rely on.
-func (m *CSR) MulVecPar(x, y []float64) {
+// result is bit-identical at any GOMAXPROCS. Reusing y across calls keeps
+// the hot path (the placer's per-iteration dataflow-force assembly)
+// allocation-free.
+func (m *CSR) MulVec(x, y []float64) {
 	if len(x) != m.C || len(y) != m.R {
 		panic(fmt.Sprintf("mat: spmv dims %dx%d × %d into %d", m.R, m.C, len(x), len(y)))
 	}
@@ -167,7 +126,7 @@ func (m *CSR) MulVecPar(x, y []float64) {
 }
 
 // MulDensePar returns m × d (SpMM) computed with the same fixed row-sharded
-// schedule as MulVecPar: each output row is accumulated in stored-column
+// schedule as MulVec: each output row is accumulated in stored-column
 // order by exactly one goroutine, so the product is bit-identical at any
 // GOMAXPROCS. The GCN forward/backward passes and the gsp Chebyshev
 // recursion both run on this kernel.

@@ -9,8 +9,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
+
+	"dsplacer/internal/par"
 )
 
 // Dense is a row-major dense matrix.
@@ -149,13 +149,15 @@ func (m *Dense) T() *Dense {
 	return out
 }
 
-// Mul returns m × o, parallelized over row blocks.
+// Mul returns m × o, sharded over rows like the CSR kernels: each output
+// row is one goroutine's in-order sum, so the product is bit-identical at
+// any GOMAXPROCS.
 func (m *Dense) Mul(o *Dense) *Dense {
 	if m.C != o.R {
 		panic(fmt.Sprintf("mat: mul dims %dx%d × %dx%d", m.R, m.C, o.R, o.C))
 	}
 	out := NewDense(m.R, o.C)
-	parallelRows(m.R, func(lo, hi int) {
+	par.ForEachShard(m.R, par.DefaultShards, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			mi := m.Row(i)
 			oi := out.Row(i)
@@ -235,31 +237,4 @@ func (m *Dense) MaxAbsDiff(o *Dense) float64 {
 		}
 	}
 	return worst
-}
-
-// parallelRows splits [0,n) into GOMAXPROCS contiguous chunks and runs fn on
-// each concurrently.
-func parallelRows(n int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

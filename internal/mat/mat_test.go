@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -153,18 +154,24 @@ func TestCSRConstructionAndSpMM(t *testing.T) {
 		t.Fatalf("nnz=%d", m.NNZ())
 	}
 	d := FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
-	got := m.MulDense(d)
+	got := m.MulDensePar(d)
 	want := FromRows([][]float64{{0, 2}, {4, 3}})
-	if got.MaxAbsDiff(want) > 1e-12 {
+	if got.MaxAbsDiff(want) != 0 {
 		t.Fatalf("spmm=%v", got.Data)
 	}
 	dense := m.ToDense()
 	if dense.At(1, 0) != 1 || dense.At(0, 1) != 2 {
 		t.Fatal("ToDense wrong")
 	}
+	if !slices.Equal(got.Data, dense.Mul(d).Data) {
+		t.Fatalf("spmm %v differs from the dense product", got.Data)
+	}
 }
 
-// Property: SpMM agrees with dense multiply on random sparse matrices.
+// Property: SpMM equals the dense multiply of the materialized matrix
+// bitwise on random sparse matrices: a CSR row stores its columns in
+// ascending order, the order in which Dense.Mul meets the row's non-zeros,
+// so both sum the same products in the same order.
 func TestSpMMMatchesDense(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -179,7 +186,7 @@ func TestSpMMMatchesDense(t *testing.T) {
 		}
 		s := NewCSR(r, k, entries)
 		d := NewDense(k, c).Randn(rng, 1)
-		return s.MulDense(d).MaxAbsDiff(s.ToDense().Mul(d)) < 1e-9
+		return slices.Equal(s.MulDensePar(d).Data, s.ToDense().Mul(d).Data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -208,35 +215,23 @@ func randCSR(rng *rand.Rand, r, c int, density float64) *CSR {
 	return NewCSR(r, c, entries)
 }
 
-// Property: the par-sharded SpMV/SpMM kernels compute exactly what the
-// GOMAXPROCS-chunked kernels compute — same row, same stored-column
-// accumulation order, so equality must be bitwise, not approximate.
+// Property: the sharded SpMV/SpMM kernels compute exactly what Dense.Mul
+// computes on the materialized matrix — same row, same column order of the
+// non-zeros — so equality must be bitwise, not approximate.
 func TestParKernelsMatchBitwise(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		r, c, w := 40, 30, 3
 		m := randCSR(rng, r, c, 0.2)
-		x := make([]float64, c)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		y1 := make([]float64, r)
-		y2 := make([]float64, r)
-		m.MulVec(x, y1)
-		m.MulVecPar(x, y2)
-		for i := range y1 {
-			if y1[i] != y2[i] {
-				return false
-			}
+		dense := m.ToDense()
+		xv := NewDense(c, 1).Randn(rng, 1)
+		y := make([]float64, r)
+		m.MulVec(xv.Data, y)
+		if !slices.Equal(y, dense.Mul(xv).Data) {
+			return false
 		}
 		d := NewDense(c, w).Randn(rng, 1)
-		a, b := m.MulDense(d), m.MulDensePar(d)
-		for i := range a.Data {
-			if a.Data[i] != b.Data[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(m.MulDensePar(d).Data, dense.Mul(d).Data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -258,14 +253,14 @@ func TestParKernelsBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
 		y := make([]float64, 300)
-		m.MulVecPar(x, y)
+		m.MulVec(x, y)
 		return y, m.MulDensePar(d)
 	}
 	y1, d1 := run(1)
 	y8, d8 := run(8)
 	for i := range y1 {
 		if y1[i] != y8[i] {
-			t.Fatalf("MulVecPar differs at row %d: %v vs %v", i, y1[i], y8[i])
+			t.Fatalf("MulVec differs at row %d: %v vs %v", i, y1[i], y8[i])
 		}
 	}
 	for i := range d1.Data {

@@ -1,8 +1,8 @@
 // Package par provides the shared bounded worker-pool and chunking
-// primitives behind the repository's parallel hot paths: DSP-graph
+// primitives behind the repository's parallel hot paths: the global
+// placer's per-net and per-cell passes and its two-axis cold seed, DSP-graph
 // construction, the per-cell candidate/cost phase of the assignment loop,
-// the sharded sparse kernels of feature extraction and experiment-row
-// execution.
+// the sharded sparse kernels of internal/mat and experiment-row execution.
 //
 // Every helper is deterministic-by-construction: work units are identified
 // by index, results are written to caller-owned per-index (or per-worker)
@@ -33,19 +33,21 @@ func Workers(n int) int {
 }
 
 // ForEach runs fn(i) for every i in [0, n) across Workers(n) goroutines.
-// Indices are handed out dynamically through an atomic cursor so uneven
-// work units balance across workers. fn must only touch per-index state
-// (e.g. slot i of a preallocated result slice); under that contract the
-// result is identical for any worker count.
+// Workers claim contiguous blocks of indices (see blockSize) from a shared
+// atomic cursor, so uneven work units still balance across workers while a
+// pass over many cheap indices costs one contended atomic add per block, not
+// per index. fn must only touch per-index state (e.g. slot i of a
+// preallocated result slice); under that contract the result is identical
+// for any worker count.
 func ForEach(n int, fn func(i int)) {
 	ForEachWorker(n, func(_, i int) { fn(i) })
 }
 
 // ForEachWorker is ForEach with the worker id exposed: fn(w, i) is called
 // with w in [0, Workers(n)), and all calls for one w happen sequentially on
-// a single goroutine. This lets callers keep per-worker scratch buffers
-// (BFS queues, IDDFS visit marks, query buffers) that are reused across all
-// items that worker claims.
+// a single goroutine, in ascending i. This lets callers keep per-worker
+// scratch buffers (BFS queues, IDDFS visit marks, query buffers) that are
+// reused across all items that worker claims.
 func ForEachWorker(n int, fn func(w, i int)) {
 	if n <= 0 {
 		return
@@ -57,6 +59,7 @@ func ForEachWorker(n int, fn func(w, i int)) {
 		}
 		return
 	}
+	block := int64(blockSize(n, workers))
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -64,15 +67,26 @@ func ForEachWorker(n int, fn func(w, i int)) {
 		go func(w int) {
 			defer wg.Done()
 			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
+				end := cursor.Add(block)
+				lo, hi := int(end-block), min(int(end), n)
+				if lo >= n {
 					return
 				}
-				fn(w, i)
+				for i := lo; i < hi; i++ {
+					fn(w, i)
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
+}
+
+// blockSize is the number of consecutive indices one cursor step claims: a
+// fixed rule of n and the worker count that leaves about 16 blocks per
+// worker, enough for the tail to balance, and one index per step when n is
+// small (experiment rows, the 16 shards of ForEachShard).
+func blockSize(n, workers int) int {
+	return max(1, n/(16*workers))
 }
 
 // Map runs fn over [0, n) in parallel and returns the results in index

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -26,6 +27,49 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for i, h := range hits {
 		if h != 1 {
 			t.Fatalf("index %d hit %d times", i, h)
+		}
+	}
+}
+
+// TestForEachWorkerBlocks pins the block-claim schedule: every index runs
+// exactly once, one worker runs each block, and a worker's indices arrive in
+// strictly ascending order (within a block and across the blocks it
+// claims), at worker counts 1, 2 and 8 and sizes around the block rule.
+func TestForEachWorkerBlocks(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		for _, n := range []int{1, 2, 31, 32, 33, 1000, 100003} {
+			t.Run(fmt.Sprintf("procs=%d/n=%d", procs, n), func(t *testing.T) {
+				old := runtime.GOMAXPROCS(procs)
+				defer runtime.GOMAXPROCS(old)
+				workers := Workers(n)
+				seen := make([][]int, workers) // each worker appends to its own slice
+				owner := make([]int32, n)
+				hits := make([]int32, n)
+				ForEachWorker(n, func(w, i int) {
+					seen[w] = append(seen[w], i)
+					owner[i] = int32(w)
+					atomic.AddInt32(&hits[i], 1)
+				})
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("index %d ran %d times", i, h)
+					}
+				}
+				for w, idx := range seen {
+					for k := 1; k < len(idx); k++ {
+						if idx[k] <= idx[k-1] {
+							t.Fatalf("worker %d ran %d after %d", w, idx[k], idx[k-1])
+						}
+					}
+				}
+				block := blockSize(n, workers)
+				for i := range owner {
+					if first := i / block * block; owner[i] != owner[first] {
+						t.Fatalf("block of %d split: index %d on worker %d, index %d on worker %d",
+							block, first, owner[first], i, owner[i])
+					}
+				}
+			})
 		}
 	}
 }
@@ -107,5 +151,19 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("index %d differs across worker counts", i)
 		}
+	}
+}
+
+// BenchmarkForEach times the scheduler itself: each index does one store,
+// so ns/op is the cost of handing n indices to the workers.
+func BenchmarkForEach(b *testing.B) {
+	for _, n := range []int{1000, 100000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			out := make([]int, n)
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				ForEach(n, func(i int) { out[i] = i })
+			}
+		})
 	}
 }

@@ -39,6 +39,53 @@ func TestElectroBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestElectroBitIdenticalOnGeneratedDesign repeats the determinism check on
+// a generated accelerator of about six thousand cells, where every parallel
+// pass hands each worker blocks of many nets or cells per claim. A cold
+// ModeAMF run (the 400-step CG seed, both axes solved at once) and a warm
+// ModeDSPlacer run (fixed DSP sites, dataflow SpMV) must place every cell
+// at the same position at GOMAXPROCS 1, 2 and 8.
+func TestElectroBitIdenticalOnGeneratedDesign(t *testing.T) {
+	dev := fpga.NewZCU104()
+	nl, err := gen.Generate(gen.Systolic(), dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := Place(dev, nl, Options{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		opt  Options
+	}{
+		{"cold-amf", Options{Mode: ModeAMF, Seed: 5}},
+		{"warm-dsplacer", Options{Mode: ModeDSPlacer, Seed: 5, Warm: proto.Pos, FixedSites: proto.SiteOfDSP}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var serial []geom.Point
+			for _, procs := range []int{1, 2, 8} {
+				old := runtime.GOMAXPROCS(procs)
+				pos, err := GlobalPlace(context.Background(), dev, nl, c.opt)
+				runtime.GOMAXPROCS(old)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if serial == nil {
+					serial = pos
+					continue
+				}
+				for i := range serial {
+					if pos[i] != serial[i] {
+						t.Fatalf("cell %d: GOMAXPROCS=1 places (%.17g, %.17g), GOMAXPROCS=%d places (%.17g, %.17g) (must be bit-identical)",
+							i, serial[i].X, serial[i].Y, procs, pos[i].X, pos[i].Y)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestElectroRepeatableWithFrozenSeed pins that two runs with the same seed
 // are bit-identical — the engine has no hidden nondeterminism (map order,
 // time, pointer values) feeding the math.

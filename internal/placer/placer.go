@@ -31,6 +31,7 @@ import (
 	"dsplacer/internal/geom"
 	"dsplacer/internal/metrics"
 	"dsplacer/internal/netlist"
+	"dsplacer/internal/par"
 	"dsplacer/internal/stage"
 )
 
@@ -261,7 +262,10 @@ func clampToDevice(dev *fpga.Device, pos []geom.Point, movable []bool) {
 // solveQuadratic builds the bound-to-bound system for each axis on the
 // current positions and solves it by at most cgIters CG steps: the
 // pure-wirelength optimum that seeds a cold electrostatic run. Fixed cells
-// contribute to the RHS.
+// contribute to the RHS. The two axes are independent systems, so they are
+// built and solved concurrently, each with its own matrix, right-hand side
+// and iterate; pos is read by both and written only after both finish, so
+// the result is the same at any worker count.
 func solveQuadratic(nl *netlist.Netlist, pos []geom.Point, movable []bool, cgIters int) {
 	n := nl.NumCells()
 	// Dense→movable index mapping.
@@ -279,7 +283,8 @@ func solveQuadratic(nl *netlist.Netlist, pos []geom.Point, movable []bool, cgIte
 		return
 	}
 
-	for axis := 0; axis < 2; axis++ {
+	var sol [2][]float64
+	par.ForEach(2, func(axis int) {
 		coord := func(i int) float64 {
 			if axis == 0 {
 				return pos[i].X
@@ -351,14 +356,11 @@ func solveQuadratic(nl *netlist.Netlist, pos []geom.Point, movable []bool, cgIte
 			}
 		}
 		m.solveCG(rhs, x, cgIters, 1e-4)
-		for i := 0; i < n; i++ {
-			if mi := mIdx[i]; mi >= 0 {
-				if axis == 0 {
-					pos[i].X = x[mi]
-				} else {
-					pos[i].Y = x[mi]
-				}
-			}
+		sol[axis] = x
+	})
+	for i := 0; i < n; i++ {
+		if mi := mIdx[i]; mi >= 0 {
+			pos[i] = geom.Point{X: sol[0][mi], Y: sol[1][mi]}
 		}
 	}
 }

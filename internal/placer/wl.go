@@ -13,9 +13,9 @@ import (
 )
 
 // waGradient computes the WA wirelength gradient at the current (x, y) into
-// wlGX/wlGY. Pass 1 runs one goroutine per net, writing only that net's pin
-// slots; pass 2 gathers per cell over its fixed, ascending incidence order.
-// Both passes are therefore bit-identical at any worker count.
+// wlGX/wlGY. Pass 1 computes each net on one worker, writing only that net's
+// pin slots; pass 2 gathers per cell over its fixed, ascending incidence
+// order. Both passes are therefore bit-identical at any worker count.
 func (s *soa) waGradient(gamma float64) {
 	invG := 1 / gamma
 	nNets := len(s.netPtr) - 1
