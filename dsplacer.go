@@ -4,7 +4,7 @@
 // substrate it needs — a column-heterogeneous UltraScale+ device model, an
 // analytical global placer, a congestion-aware router, a static timing
 // analyzer, a GCN datapath classifier, a min-cost-flow assignment engine
-// and ILP cascade legalization.
+// and cascade legalization.
 //
 // The quickest path through the API:
 //
@@ -14,7 +14,7 @@
 //	fmt.Printf("WNS %.3f ns, HPWL %.0f\n", res.WNS, res.HPWL)
 //
 // Run executes the full DSPlacer flow of the paper (prototype placement →
-// datapath DSP extraction → iterative MCF placement + ILP legalization →
+// datapath DSP extraction → iterative MCF placement + cascade legalization →
 // incremental re-placement → routing → timing). RunBaseline provides the
 // Vivado-like and AMF-like comparison flows of Table II.
 //

@@ -1,7 +1,7 @@
 // Package core assembles the full DSPlacer framework of Fig. 2: prototype
 // placement with the off-the-shelf engine, GCN-based datapath DSP
 // extraction, DSP graph construction, iterative min-cost-flow datapath DSP
-// placement with ILP cascade legalization, incremental re-placement of the
+// placement with cascade legalization, incremental re-placement of the
 // other components (Fig. 6), and final routing + timing analysis. It also
 // runs the two baseline flows (Vivado-like and AMF-like) used in Table II.
 package core

@@ -123,7 +123,7 @@ func (s *Suite) AblationLegalization(w io.Writer, spec gen.Spec, cfg TableIIConf
 	}
 	after := assign.Violations(s.Dev, nl, legal)
 	fmt.Fprintf(w, "Ablation: cascade legalization on %s.\n", spec.Name)
-	fmt.Fprintf(w, "  violations after MCF: %d;  after ILP legalization: %d\n", before, after)
+	fmt.Fprintf(w, "  violations after MCF: %d;  after legalization: %d\n", before, after)
 	if after != 0 {
 		return fmt.Errorf("experiments: legalization left %d violations", after)
 	}

@@ -499,13 +499,6 @@ func (s *Scheduler) Stats() Stats {
 	}
 }
 
-// Draining reports whether Shutdown has begun (new submissions are rejected).
-func (s *Scheduler) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // Shutdown rejects new submissions and waits for queued and running jobs to
 // finish. If ctx expires first, every remaining job's context is canceled
 // and Shutdown keeps waiting for the workers to observe that; the workers

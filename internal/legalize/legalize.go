@@ -4,40 +4,26 @@
 // column-capacity constraints (Eq. 10); intra-column legalization then
 // assigns rows within each column, keeping cascaded cells on consecutive
 // sites while minimizing vertical displacement (Eq. 11). Eq. 10 is solved
-// exactly by branch-and-bound 0-1 ILP for small instances and by a
-// min-cost-flow relaxation with integral repair for large ones; Eq. 11 is
-// solved exactly by an Abacus-style weighted-median clumping algorithm.
+// by its min-cost-flow (transportation) relaxation, rounded to each group's
+// majority column with capacity repair; Eq. 11 is solved exactly by an
+// Abacus-style weighted-median clumping algorithm.
 package legalize
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"dsplacer/internal/fpga"
-	"dsplacer/internal/ilp"
-	"dsplacer/internal/lp"
 	"dsplacer/internal/mcmf"
 	"dsplacer/internal/netlist"
+	"dsplacer/internal/par"
 )
 
-// Options tunes the legalizer.
-type Options struct {
-	// ILPVarLimit is the largest #groups × #columns product handed to the
-	// exact branch-and-bound solver; bigger instances use the min-cost-flow
-	// relaxation with integral repair, which the property tests show
-	// matches the ILP on feasible instances (default 120).
-	ILPVarLimit int
-}
-
-func (o Options) withDefaults() Options {
-	if o.ILPVarLimit == 0 {
-		o.ILPVarLimit = 120
-	}
-	return o
-}
+// Options has no fields: the legalizer has one inter-column method and no
+// settings. The type stays because the benchmark module's traced runner, a
+// separate Go module, passes Options{} to Legalize.
+type Options struct{}
 
 // group is one legalization unit: a whole cascade macro or a single DSP.
 type group struct {
@@ -54,8 +40,7 @@ func (g *group) size() int { return len(g.cells) }
 // site and every cascade macro occupies consecutive rows of one column.
 // Cells absent from siteOf are ignored (they belong to other placement
 // passes). The input map is not mutated.
-func Legalize(dev *fpga.Device, nl *netlist.Netlist, siteOf map[int]int, opt Options) (map[int]int, error) {
-	opt = opt.withDefaults()
+func Legalize(dev *fpga.Device, nl *netlist.Netlist, siteOf map[int]int, _ Options) (map[int]int, error) {
 	sites := dev.DSPSites()
 	for c, j := range siteOf {
 		if j < 0 || j >= len(sites) {
@@ -77,7 +62,7 @@ func Legalize(dev *fpga.Device, nl *netlist.Netlist, siteOf map[int]int, opt Opt
 		colCap[i] = dev.Columns[ci].NumSites
 	}
 
-	assign, err := interColumn(groups, colX, colCap, opt)
+	assign, err := interColumn(groups, colX, colCap)
 	if err != nil {
 		return nil, err
 	}
@@ -88,53 +73,33 @@ func Legalize(dev *fpga.Device, nl *netlist.Netlist, siteOf map[int]int, opt Opt
 		siteIdx[[2]int{s.Col, s.Row}] = j
 	}
 
-	out := make(map[int]int, len(siteOf))
-	// Intra-column legalization runs per column, in parallel (§IV-B).
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for k := range cols {
-		var colGroups []*group
-		for gi, g := range groups {
-			if assign[gi] == k {
-				colGroups = append(colGroups, g)
-			}
-		}
-		if len(colGroups) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(k int, colGroups []*group) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			rows, err := intraColumn(colGroups, colCap[k])
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			for gi, g := range colGroups {
-				for m, cell := range g.cells {
-					j, ok := siteIdx[[2]int{cols[k], rows[gi] + m}]
-					if !ok {
-						if firstErr == nil {
-							firstErr = fmt.Errorf("legalize: no site at col %d row %d", cols[k], rows[gi]+m)
-						}
-						return
-					}
-					out[cell] = j
-				}
-			}
-		}(k, colGroups)
+	colGroups := make([][]*group, len(cols))
+	for gi, g := range groups {
+		colGroups[assign[gi]] = append(colGroups[assign[gi]], g)
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	// Intra-column legalization runs per column, in parallel (§IV-B).
+	type colRows struct {
+		rows []int
+		err  error
+	}
+	res := par.Map(len(cols), func(k int) colRows {
+		rows, err := intraColumn(colGroups[k], colCap[k])
+		return colRows{rows, err}
+	})
+	out := make(map[int]int, len(siteOf))
+	for k, r := range res {
+		if r.err != nil {
+			return nil, r.err
+		}
+		for gi, g := range colGroups[k] {
+			for m, cell := range g.cells {
+				j, ok := siteIdx[[2]int{cols[k], r.rows[gi] + m}]
+				if !ok {
+					return nil, fmt.Errorf("legalize: no site at col %d row %d", cols[k], r.rows[gi]+m)
+				}
+				out[cell] = j
+			}
+		}
 	}
 	return out, nil
 }
@@ -189,7 +154,7 @@ func buildGroups(dev *fpga.Device, nl *netlist.Netlist, siteOf map[int]int) ([]*
 
 // interColumn assigns each group to one column (Eq. 10). Returns the column
 // index (into colX) per group.
-func interColumn(groups []*group, colX []float64, colCap []int, opt Options) ([]int, error) {
+func interColumn(groups []*group, colX []float64, colCap []int) ([]int, error) {
 	total := 0
 	for _, g := range groups {
 		total += g.size()
@@ -204,13 +169,6 @@ func interColumn(groups []*group, colX []float64, colCap []int, opt Options) ([]
 	if len(groups) == 0 {
 		return nil, nil
 	}
-	if len(groups)*len(colX) <= opt.ILPVarLimit {
-		a, err := interColumnILP(groups, colX, colCap)
-		if err == nil {
-			return a, nil
-		}
-		// Fall through to the flow heuristic on solver trouble.
-	}
 	return interColumnFlow(groups, colX, colCap)
 }
 
@@ -218,59 +176,6 @@ func interColumn(groups []*group, colX []float64, colCap []int, opt Options) ([]
 // j, weighted by group size (every member moves together).
 func dcost(g *group, x float64) float64 {
 	return float64(g.size()) * math.Abs(g.desiredX-x)
-}
-
-// interColumnILP is the exact Eq. 10 solver.
-func interColumnILP(groups []*group, colX []float64, colCap []int) ([]int, error) {
-	nG, nC := len(groups), len(colX)
-	nv := nG * nC
-	v := func(i, j int) int { return i*nC + j }
-	p := &ilp.Problem{NumVars: nv, Objective: make([]float64, nv), Binary: make([]bool, nv)}
-	for i := range p.Binary {
-		p.Binary[i] = true
-	}
-	for i, g := range groups {
-		for j := 0; j < nC; j++ {
-			p.Objective[v(i, j)] = dcost(g, colX[j])
-		}
-	}
-	// Each group to exactly one column (10a, first part; 10b is implicit
-	// because the whole macro is one group).
-	for i := 0; i < nG; i++ {
-		row := make([]float64, nv)
-		for j := 0; j < nC; j++ {
-			row[v(i, j)] = 1
-		}
-		p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: row, Rel: lp.EQ, RHS: 1})
-	}
-	// Capacity per column (10a, second part), in DSP sites.
-	for j := 0; j < nC; j++ {
-		row := make([]float64, nv)
-		for i, g := range groups {
-			row[v(i, j)] = float64(g.size())
-		}
-		p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: row, Rel: lp.LE, RHS: float64(colCap[j])})
-	}
-	sol, err := ilp.Solve(p, ilp.Options{})
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("legalize: inter-column ILP %v", sol.Status)
-	}
-	out := make([]int, nG)
-	for i := 0; i < nG; i++ {
-		out[i] = -1
-		for j := 0; j < nC; j++ {
-			if sol.X[v(i, j)] > 0.5 {
-				out[i] = j
-			}
-		}
-		if out[i] < 0 {
-			return nil, fmt.Errorf("legalize: group %d unassigned by ILP", i)
-		}
-	}
-	return out, nil
 }
 
 // interColumnFlow solves the LP relaxation of Eq. 10 as a transportation

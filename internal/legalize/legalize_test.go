@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dsplacer/internal/fpga"
 	"dsplacer/internal/mcmf"
@@ -151,9 +152,46 @@ func TestLegalizeOverflowColumnDemand(t *testing.T) {
 	for i := 0; i < n; i++ {
 		in[i+1] = 0 // all on the same site of column 0
 	}
-	out, err := Legalize(dev, nl, in, Options{ILPVarLimit: 1}) // force flow path
+	out, err := Legalize(dev, nl, in, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	checkLegal(t, dev, nl, out)
+}
+
+// TestLegalizeLongCascadesBounded legalizes a crowded but valid input: ten
+// long cascades that all desire the left third of zcu104 (10 groups × 12
+// columns). Legalization costs one min-cost flow over groups × columns plus
+// at most one repair move per group, so it finishes far inside the bound;
+// an exact search over the same 0-1 program can take minutes here.
+func TestLegalizeLongCascadesBounded(t *testing.T) {
+	dev := fpga.NewZCU104()
+	sites := dev.DSPSites()
+	rng := rand.New(rand.NewSource(1))
+	nl := netlist.New("long")
+	anchor := nl.AddCell("a", netlist.LUT)
+	in := map[int]int{}
+	for m := 0; m < 10; m++ {
+		ids := make([]int, 60+rng.Intn(85))
+		for k := range ids {
+			d := nl.AddCell("d", netlist.DSP)
+			nl.AddNet("n", anchor.ID, d.ID)
+			ids[k] = d.ID
+			in[d.ID] = rng.Intn(len(sites) / 3)
+		}
+		nl.AddMacro(ids)
+	}
+	start := time.Now()
+	out, err := Legalize(dev, nl, in, Options{})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed > 10*time.Second {
+		t.Fatalf("Legalize took %v, want under 10s", elapsed)
+	}
+	if len(out) != len(in) {
+		t.Fatalf("placed %d of %d DSPs", len(out), len(in))
 	}
 	checkLegal(t, dev, nl, out)
 }
@@ -305,8 +343,39 @@ func TestIntraColumnOptimal(t *testing.T) {
 	}
 }
 
-// Property: the flow-based inter-column assignment matches the exact ILP
-// cost on small random instances.
+// bruteInter returns the exact optimum of the 0-1 program Eq. 10 by
+// enumerating every column choice of every group, keeping the cheapest
+// assignment that fits every column's capacity.
+func bruteInter(gs []*group, colX []float64, colCap []int) ([]int, bool) {
+	var best []int
+	bestCost := math.Inf(1)
+	choice := make([]int, len(gs))
+	load := make([]int, len(colX))
+	var rec func(i int, acc float64)
+	rec = func(i int, acc float64) {
+		if i == len(gs) {
+			if acc < bestCost {
+				bestCost = acc
+				best = append(best[:0], choice...)
+			}
+			return
+		}
+		for j := range colX {
+			if load[j]+gs[i].size() > colCap[j] {
+				continue
+			}
+			load[j] += gs[i].size()
+			choice[i] = j
+			rec(i+1, acc+dcost(gs[i], colX[j]))
+			load[j] -= gs[i].size()
+		}
+	}
+	rec(0, 0)
+	return best, best != nil
+}
+
+// Property: the flow-based inter-column assignment matches the exact 0-1
+// optimum of Eq. 10 (by enumeration) on small random instances.
 func TestInterColumnFlowMatchesILP(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -335,9 +404,9 @@ func TestInterColumnFlowMatchesILP(t *testing.T) {
 		if len(gs) == 0 {
 			return true
 		}
-		exact, err1 := interColumnILP(gs, colX, colCap)
-		approx, err2 := interColumnFlow(gs, colX, colCap)
-		if err1 != nil || err2 != nil {
+		exact, ok := bruteInter(gs, colX, colCap)
+		approx, err := interColumnFlow(gs, colX, colCap)
+		if !ok || err != nil {
 			return false
 		}
 		ce, ca := 0.0, 0.0

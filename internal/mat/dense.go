@@ -60,13 +60,6 @@ func (m *Dense) Clone() *Dense {
 	return c
 }
 
-// Zero clears all elements in place.
-func (m *Dense) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
 // Randn fills m with N(0, std²) samples from rng (Glorot-style init is built
 // on top of this in the gcn package).
 func (m *Dense) Randn(rng *rand.Rand, std float64) *Dense {
