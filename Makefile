@@ -84,7 +84,7 @@ bench-module:
 # Hot-path micro-benchmarks with allocation counts (real measurements;
 # compare against BENCH_*.json).
 bench:
-	go test -run '^$$' -bench 'DSPGraphBuild|AssignIteration|MinCostFlow|GlobalPlace|Features' -benchmem .  && \
+	go test -run '^$$' -bench 'DSPGraphBuild|AssignIteration|MinCostFlow|GlobalPlace|Features|Identify' -benchmem .  && \
 	go test -run '^$$' -bench . -benchmem ./internal/mcmf/ && \
 	go test -run '^$$' -bench 'ForEach' -benchmem ./internal/par/ && \
 	go test -run '^$$' -bench 'Refine' -benchmem ./internal/detailed/ && \

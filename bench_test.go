@@ -17,6 +17,7 @@ import (
 	"dsplacer/internal/experiments"
 	"dsplacer/internal/features"
 	"dsplacer/internal/fpga"
+	"dsplacer/internal/gcn"
 	"dsplacer/internal/gen"
 	"dsplacer/internal/netlist"
 	"dsplacer/internal/placer"
@@ -300,20 +301,46 @@ func BenchmarkAblationLegalization(b *testing.B) {
 	}
 }
 
-// BenchmarkFeatures measures feature extraction (the spectral estimator of
-// internal/gsp) on a generated ZCU104-class workload of ~7.5k cells.
-func BenchmarkFeatures(b *testing.B) {
+// featureBenchNetlist is the generated ZCU104-class workload of ~7.5k
+// cells that the identification benchmarks run on.
+func featureBenchNetlist(b *testing.B) *netlist.Netlist {
+	b.Helper()
 	spec := gen.Spec{Name: "feat-bench", LUT: 4000, LUTRAM: 300, FF: 3000,
 		BRAM: 60, DSP: 160, FreqMHz: 200, Seed: 11}
 	nl, err := gen.Generate(spec, fpga.NewZCU104())
 	if err != nil {
 		b.Fatal(err)
 	}
+	return nl
+}
+
+// BenchmarkFeatures measures feature extraction (the spectral estimator of
+// internal/gsp) on featureBenchNetlist.
+func BenchmarkFeatures(b *testing.B) {
+	nl := featureBenchNetlist(b)
 	cfg := features.Config{Seed: 5}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := features.ExtractContext(context.Background(), nl, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkIdentify measures one GCN identification on featureBenchNetlist:
+// feature extraction, standardization, the normalized adjacency and the
+// forward pass over the DSPs' two-hop neighbourhood. The model has the
+// paper's shape and fixed-seed random weights; its cost does not depend
+// on what it learned.
+func BenchmarkIdentify(b *testing.B) {
+	nl := featureBenchNetlist(b)
+	id := &core.GCNIdentifier{Model: gcn.NewModel(gcn.Defaults(features.NumFeatures)),
+		FeatureCfg: features.Config{Seed: 5}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := id.Identify(context.Background(), nl); err != nil {
 			b.Fatal(err)
 		}
 	}

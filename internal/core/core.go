@@ -71,6 +71,9 @@ func (g *GCNIdentifier) Identify(ctx context.Context, nl *netlist.Netlist) ([]in
 	if g.Model == nil {
 		return nil, fmt.Errorf("core: GCNIdentifier has no model")
 	}
+	if d := g.Model.InputDim(); d != features.NumFeatures {
+		return nil, fmt.Errorf("core: GCN model takes %d features per node, extraction gives %d", d, features.NumFeatures)
+	}
 	sample, err := BuildSampleContext(ctx, nl, g.FeatureCfg)
 	if err != nil {
 		return nil, err
@@ -93,7 +96,8 @@ func BuildSample(nl *netlist.Netlist, fcfg features.Config) (*gcn.Sample, error)
 
 // BuildSampleContext extracts features under ctx and wraps nl as a GCN
 // sample (labels come from generator ground truth and are used for
-// training/evaluation only).
+// training/evaluation only). Â comes from the undirected graph extraction
+// built, so the netlist graph is built once per sample.
 func BuildSampleContext(ctx context.Context, nl *netlist.Netlist, fcfg features.Config) (*gcn.Sample, error) {
 	set, err := features.ExtractContext(ctx, nl, fcfg)
 	if err != nil {
@@ -108,7 +112,7 @@ func BuildSampleContext(ctx context.Context, nl *netlist.Netlist, fcfg features.
 	}
 	return &gcn.Sample{
 		Name:   nl.Name,
-		Adj:    gcn.NormalizedAdjacency(nl.ToGraph()),
+		Adj:    gcn.NormalizedAdjacencyUndirected(set.Undirected),
 		X:      X,
 		Labels: labels,
 		Mask:   set.DSP,

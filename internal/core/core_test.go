@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -252,6 +253,34 @@ func TestGCNIdentifierNilModel(t *testing.T) {
 	id := &GCNIdentifier{}
 	if _, err := id.Identify(context.Background(), nl); err == nil {
 		t.Fatal("nil model accepted")
+	}
+}
+
+// A model trained on another feature width is refused before extraction
+// (it used to panic in the first matmul), and Run tags the error with the
+// identify stage.
+func TestGCNIdentifierWrongWidth(t *testing.T) {
+	dev, nl := miniSetup(t)
+	id := &GCNIdentifier{Model: gcn.NewModel(gcn.Defaults(3))}
+	_, err := Run(context.Background(), dev, nl, Config{MCFIterations: 2, Rounds: 1, Identifier: id})
+	if err == nil {
+		t.Fatal("a 3-feature model was accepted")
+	}
+	if want := "core: identify: core: GCN model takes 3 features per node"; !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("error %q, want prefix %q", err, want)
+	}
+}
+
+// BuildSample builds Â from the undirected graph feature extraction made;
+// it must equal Â built from a fresh netlist graph.
+func TestBuildSampleAdjacency(t *testing.T) {
+	_, nl := miniSetup(t)
+	sample, err := BuildSample(nl, features.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := gcn.NormalizedAdjacency(nl.ToGraph()); !reflect.DeepEqual(sample.Adj, want) {
+		t.Fatal("sample Â differs from gcn.NormalizedAdjacency(nl.ToGraph())")
 	}
 }
 

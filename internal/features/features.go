@@ -66,6 +66,10 @@ type Set struct {
 	X *mat.Dense
 	// DSP lists the cell ids of DSP cells (the nodes the GCN classifies).
 	DSP []int
+	// Undirected is the netlist graph's symmetric view
+	// (nl.ToGraph().Undirected()) that the centralities ran on; the GCN
+	// builds its propagation operator from it instead of a second copy.
+	Undirected *graph.Digraph
 }
 
 // Extract computes the feature matrix for nl. It is ExtractContext without
@@ -104,7 +108,7 @@ func ExtractContext(ctx context.Context, nl *netlist.Netlist, cfg Config) (*Set,
 	if err := gspCentralities(ctx, ug, dsp, X, cfg); err != nil {
 		return nil, err
 	}
-	return &Set{X: X, DSP: dsp}, nil
+	return &Set{X: X, DSP: dsp, Undirected: ug}, nil
 }
 
 // gspCentralities maps the spectral surrogates of internal/gsp onto

@@ -3,10 +3,16 @@ package gcn
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
+	"dsplacer/internal/features"
+	"dsplacer/internal/fpga"
+	"dsplacer/internal/gen"
 	"dsplacer/internal/graph"
 	"dsplacer/internal/mat"
+	"dsplacer/internal/netlist"
 )
 
 // ringSample builds a small labeled sample: a ring of 2k nodes where the
@@ -61,12 +67,135 @@ func TestNormalizedAdjacency(t *testing.T) {
 	if math.Abs(a.At(0, 1)-want) > 1e-12 {
 		t.Fatalf("Â[0][1]=%v want %v", a.At(0, 1), want)
 	}
+
+	// The in-place row fill equals COO triples summed by mat.NewCSR, on a
+	// netlist graph and on a digraph with self-loops, reciprocal and
+	// duplicate edges and isolated nodes (3, 6).
+	odd := graph.NewDigraph(7)
+	for _, e := range [][2]int{{0, 0}, {0, 2}, {2, 0}, {1, 5}, {1, 5}, {5, 1}, {4, 4}, {5, 2}, {2, 4}, {4, 2}} {
+		odd.AddEdge(e[0], e[1])
+	}
+	for name, g := range map[string]*graph.Digraph{"netlist": familyNetlists(t)[0].ToGraph(), "odd": odd} {
+		if got, want := NormalizedAdjacency(g), cooAdjacency(g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: direct assembly differs from the COO reference", name)
+		}
+	}
+}
+
+// cooAdjacency is Â assembled from COO triples by mat.NewCSR, which sorts
+// them and sums duplicates: the reference for the in-place row fill.
+func cooAdjacency(g *graph.Digraph) *mat.CSR {
+	und := g.Undirected()
+	n := und.N()
+	var entries []mat.COO
+	for u := 0; u < n; u++ {
+		du := 1 / math.Sqrt(float64(1+len(und.Out(u))))
+		entries = append(entries, mat.COO{Row: u, Col: u, Val: du * du})
+		for _, v := range und.Out(u) {
+			dv := 1 / math.Sqrt(float64(1+len(und.Out(v))))
+			entries = append(entries, mat.COO{Row: u, Col: v, Val: du * dv})
+		}
+	}
+	return mat.NewCSR(n, n, entries)
+}
+
+// familyNetlists generates one netlist per topology family at a quarter
+// of its matrix preset's size.
+func familyNetlists(t *testing.T) []*netlist.Netlist {
+	t.Helper()
+	var out []*netlist.Netlist
+	for _, spec := range gen.FamilySpecs() {
+		spec.LUT, spec.LUTRAM, spec.FF = spec.LUT/4, spec.LUTRAM/4, spec.FF/4
+		spec.BRAM, spec.DSP = spec.BRAM/4, spec.DSP/4
+		nl, err := gen.Generate(spec, fpga.NewZCU104())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, nl)
+	}
+	return out
+}
+
+// netlistSample wraps nl as a sample the way identification does:
+// extracted features, standardized, over Â of the netlist graph.
+func netlistSample(nl *netlist.Netlist) *Sample {
+	set := features.Extract(nl, features.Config{Seed: 1})
+	labels := make([]int, nl.NumCells())
+	for _, c := range set.DSP {
+		if nl.Cells[c].DatapathTruth {
+			labels[c] = 1
+		}
+	}
+	return &Sample{Name: nl.Name, Adj: NormalizedAdjacency(nl.ToGraph()),
+		X: features.Standardize(set.X), Labels: labels, Mask: set.DSP}
+}
+
+// TestPredictMatchesForward checks that Predict, which computes only the
+// rows its masked outputs read, returns every probability with the bits
+// of the full forward pass's masked row, whatever the worker count.
+func TestPredictMatchesForward(t *testing.T) {
+	var samples []*Sample
+	for _, nl := range familyNetlists(t) {
+		samples = append(samples, netlistSample(nl))
+	}
+	// Edge cases: no masked node, and a masked node with no neighbours
+	// (node 6 of the odd graph, masked with nodes that have some).
+	samples = append(samples, &Sample{Name: "empty-mask", Adj: samples[0].Adj, X: samples[0].X,
+		Labels: samples[0].Labels})
+	odd := graph.NewDigraph(7)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}} {
+		odd.AddEdge(e[0], e[1])
+	}
+	oddX := mat.NewDense(7, features.NumFeatures).Randn(rand.New(rand.NewSource(2)), 1)
+	samples = append(samples, &Sample{Name: "isolated", Adj: NormalizedAdjacency(odd), X: oddX,
+		Labels: make([]int, 7), Mask: []int{6, 3, 0}})
+
+	cfg := Defaults(features.NumFeatures)
+	cfg.Epochs = 3
+	trained, _ := Train(cfg, samples[:1], nil)
+	// The ring masks every node; its models take three features.
+	ring := ringSample(24, 7)
+	ringCfg := smallCfg()
+	ringCfg.Epochs = 5
+	ringTrained, _ := Train(ringCfg, []*Sample{ring}, nil)
+
+	type pair struct {
+		name string
+		m    *Model
+		s    *Sample
+	}
+	var pairs []pair
+	for _, s := range samples {
+		pairs = append(pairs, pair{"random/" + s.Name, NewModel(Defaults(features.NumFeatures)), s},
+			pair{"trained/" + s.Name, trained, s})
+	}
+	pairs = append(pairs, pair{"random/ring", NewModel(smallCfg()), ring}, pair{"trained/ring", ringTrained, ring})
+
+	for _, procs := range []int{1, 2, 8} {
+		func() {
+			old := runtime.GOMAXPROCS(procs)
+			defer runtime.GOMAXPROCS(old)
+			for _, p := range pairs {
+				classes, probs := p.m.Predict(p.s)
+				if len(probs) != len(p.s.Mask) || len(classes) != len(p.s.Mask) {
+					t.Fatalf("GOMAXPROCS=%d %s: %d probabilities for %d masked nodes", procs, p.name, len(probs), len(p.s.Mask))
+				}
+				prob := p.m.forward(fullOps(p.s), p.s.X, nil).prob
+				for i, v := range p.s.Mask {
+					if got, want := probs[i], prob.At(v, 1); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("GOMAXPROCS=%d %s node %d: Predict %v (%#x), full pass %v (%#x)",
+							procs, p.name, v, got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+				}
+			}
+		}()
+	}
 }
 
 func TestForwardShapesAndSoftmax(t *testing.T) {
 	s := ringSample(10, 1)
 	m := NewModel(smallCfg())
-	st := m.forward(s, nil)
+	st := m.forward(fullOps(s), s.X, nil)
 	if st.prob.R != 10 || st.prob.C != NumClasses {
 		t.Fatalf("prob %dx%d", st.prob.R, st.prob.C)
 	}
@@ -170,8 +299,8 @@ func TestDropoutOnlyInTraining(t *testing.T) {
 	}
 	// Training forward with rng differs between calls (dropout active).
 	rng := rand.New(rand.NewSource(9))
-	a := m.forward(s, rng)
-	b := m.forward(s, rng)
+	a := m.forward(fullOps(s), s.X, rng)
+	b := m.forward(fullOps(s), s.X, rng)
 	if a.act[0].MaxAbsDiff(b.act[0]) == 0 {
 		t.Fatal("dropout appears inactive during training")
 	}

@@ -91,27 +91,46 @@ type Sample struct {
 // NormalizedAdjacency builds Â = D^{-1/2}(A + I)D^{-1/2} over the
 // symmetrized graph, the standard GCN propagation operator.
 func NormalizedAdjacency(g *graph.Digraph) *mat.CSR {
-	n := g.N()
-	und := g.Undirected()
-	deg := make([]float64, n)
-	var entries []mat.COO
-	for u := 0; u < n; u++ {
-		deg[u] = 1 // self loop
-		for range und.Out(u) {
-			deg[u]++
-		}
-	}
+	return NormalizedAdjacencyUndirected(g.Undirected())
+}
+
+// NormalizedAdjacencyUndirected is NormalizedAdjacency for a graph that
+// Digraph.Undirected already symmetrized: und has no self-loops and every
+// adjacency list is strictly ascending, so each CSR row is filled in place,
+// with the self-loop merged in column order. It panics on any other graph.
+func NormalizedAdjacencyUndirected(und *graph.Digraph) *mat.CSR {
+	n := und.N()
 	inv := make([]float64, n)
-	for i, d := range deg {
-		inv[i] = 1 / math.Sqrt(d)
-	}
+	nnz := n // one self-loop per row
 	for u := 0; u < n; u++ {
-		entries = append(entries, mat.COO{Row: u, Col: u, Val: inv[u] * inv[u]})
-		for _, v := range und.Out(u) {
-			entries = append(entries, mat.COO{Row: u, Col: v, Val: inv[u] * inv[v]})
-		}
+		d := len(und.Out(u))
+		nnz += d
+		inv[u] = 1 / math.Sqrt(float64(1+d))
 	}
-	return mat.NewCSR(n, n, entries)
+	a := &mat.CSR{R: n, C: n, RowPtr: make([]int, n+1),
+		ColIdx: make([]int, 0, nnz), Val: make([]float64, 0, nnz)}
+	for u := 0; u < n; u++ {
+		prev, self := -1, false
+		for _, v := range und.Out(u) {
+			if v <= prev || v == u {
+				panic(fmt.Sprintf("gcn: adjacency of node %d is not ascending and self-loop-free", u))
+			}
+			if !self && v > u {
+				a.ColIdx = append(a.ColIdx, u)
+				a.Val = append(a.Val, inv[u]*inv[u])
+				self = true
+			}
+			a.ColIdx = append(a.ColIdx, v)
+			a.Val = append(a.Val, inv[u]*inv[v])
+			prev = v
+		}
+		if !self {
+			a.ColIdx = append(a.ColIdx, u)
+			a.Val = append(a.Val, inv[u]*inv[u])
+		}
+		a.RowPtr[u+1] = len(a.ColIdx)
+	}
+	return a
 }
 
 // forwardState caches activations for backprop.
@@ -130,15 +149,18 @@ func relu(v float64) float64 {
 	return 0
 }
 
-// forward runs the network. When rng is non-nil, inverted dropout is applied
-// to the two GC hidden activations (training mode).
-func (m *Model) forward(s *Sample, rng *rand.Rand) *forwardState {
+// forward runs the network with ops[l] as graph convolution l's
+// aggregation operator: Â twice for the full pass, or the operators of
+// receptiveField, whose product rows are a subset of the full pass's.
+// When rng is non-nil, inverted dropout is applied to the two GC hidden
+// activations (training mode).
+func (m *Model) forward(ops [2]*mat.CSR, x *mat.Dense, rng *rand.Rand) *forwardState {
 	st := &forwardState{}
-	h := s.X
+	h := x
 	for l := 0; l < numLayers; l++ {
 		in := h
 		if l < 2 { // graph convolution layers aggregate first
-			st.agg[l] = s.Adj.MulDensePar(in)
+			st.agg[l] = ops[l].MulDensePar(in)
 			in = st.agg[l]
 		}
 		z := in.Mul(m.W[l]).AddRowVec(m.B[l])
@@ -165,14 +187,72 @@ func (m *Model) forward(s *Sample, rng *rand.Rand) *forwardState {
 	return st
 }
 
+// fullOps returns the aggregation operators of the full forward pass.
+func fullOps(s *Sample) [2]*mat.CSR { return [2]*mat.CSR{s.Adj, s.Adj} }
+
+// receptiveField returns the aggregation operators of a forward pass that
+// computes only the masked rows. A masked node's output reads its own
+// second-layer row, which reads the first-layer rows of the columns its Â
+// row stores, which read X. So the first operator holds Â's rows of those
+// columns (the masked rows' one-hop neighbourhood, in node order) over all
+// of X, and the second holds Â's masked rows, in mask order, with each
+// column renumbered to its row in the first. Every row keeps its stored
+// entry order, so each product row sums the same terms in the same order
+// as the full pass's row and has its bits.
+func receptiveField(adj *mat.CSR, mask []int) [2]*mat.CSR {
+	need := make([]bool, adj.C)
+	for _, v := range mask {
+		for _, c := range adj.ColIdx[adj.RowPtr[v]:adj.RowPtr[v+1]] {
+			need[c] = true
+		}
+	}
+	at := make([]int, adj.C)
+	var hop []int
+	for v, ok := range need {
+		if ok {
+			at[v] = len(hop)
+			hop = append(hop, v)
+		}
+	}
+	return [2]*mat.CSR{gatherRows(adj, hop, adj.C, nil), gatherRows(adj, mask, len(hop), at)}
+}
+
+// gatherRows returns a's listed rows as a len(rows)×cols CSR, each in its
+// stored entry order, with column c renumbered to at[c] (kept when at is
+// nil).
+func gatherRows(a *mat.CSR, rows []int, cols int, at []int) *mat.CSR {
+	nnz := 0
+	for _, v := range rows {
+		nnz += a.RowPtr[v+1] - a.RowPtr[v]
+	}
+	out := &mat.CSR{R: len(rows), C: cols, RowPtr: make([]int, len(rows)+1),
+		ColIdx: make([]int, 0, nnz), Val: make([]float64, 0, nnz)}
+	for i, v := range rows {
+		lo, hi := a.RowPtr[v], a.RowPtr[v+1]
+		for _, c := range a.ColIdx[lo:hi] {
+			if at != nil {
+				c = at[c]
+			}
+			out.ColIdx = append(out.ColIdx, c)
+		}
+		out.Val = append(out.Val, a.Val[lo:hi]...)
+		out.RowPtr[i+1] = len(out.ColIdx)
+	}
+	return out
+}
+
 // Predict returns the predicted class per masked node along with the
-// datapath probability.
+// datapath probability. It runs the first graph convolution on the masked
+// rows' one-hop neighbourhood and the rest of the network on the masked
+// rows alone (receptiveField), so its cost follows the DSPs' two-hop
+// neighbourhood rather than the netlist, and every probability has the
+// bits of the full pass's.
 func (m *Model) Predict(s *Sample) (classes []int, probs []float64) {
-	st := m.forward(s, nil)
+	prob := m.forward(receptiveField(s.Adj, s.Mask), s.X, nil).prob
 	classes = make([]int, len(s.Mask))
 	probs = make([]float64, len(s.Mask))
-	for i, v := range s.Mask {
-		p := st.prob.At(v, 1)
+	for i := range s.Mask {
+		p := prob.At(i, 1)
 		probs[i] = p
 		if p >= 0.5 {
 			classes[i] = 1
@@ -217,7 +297,7 @@ func classWeights(s *Sample) [NumClasses]float64 {
 // lossAndGrad computes the weighted cross-entropy over masked nodes and the
 // gradient with respect to every parameter, via full backprop.
 func (m *Model) lossAndGrad(s *Sample, rng *rand.Rand) (float64, [numLayers]*mat.Dense, [numLayers][]float64) {
-	st := m.forward(s, rng)
+	st := m.forward(fullOps(s), s.X, rng)
 	n := st.prob.R
 
 	var w [NumClasses]float64

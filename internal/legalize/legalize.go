@@ -183,6 +183,19 @@ func dcost(g *group, x float64) float64 {
 // to its majority column and repairs capacity overflow by re-homing the
 // cheapest-to-move groups.
 func interColumnFlow(groups []*group, colX []float64, colCap []int) ([]int, error) {
+	out, err := majorityFlow(groups, colX, colCap)
+	if err != nil {
+		return nil, err
+	}
+	if err := repairOverflow(groups, colX, colCap, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// majorityFlow solves the transportation relaxation and puts each group in
+// the column that carries most of its flow; columns may then overflow.
+func majorityFlow(groups []*group, colX []float64, colCap []int) ([]int, error) {
 	nG, nC := len(groups), len(colX)
 	// Nodes: 0 source, 1..nG groups, nG+1..nG+nC columns, sink.
 	g := mcmf.NewSolver(nG + nC + 2)
@@ -224,8 +237,13 @@ func interColumnFlow(groups []*group, colX []float64, colCap []int) ([]int, erro
 			out[rf.i] = rf.j
 		}
 	}
-	// Repair: greedily move groups out of over-full columns into the
-	// nearest column with room, smallest-extra-cost move first.
+	return out, nil
+}
+
+// repairOverflow greedily moves groups out of over-full columns into
+// columns with room, smallest-extra-cost move first, updating out.
+func repairOverflow(groups []*group, colX []float64, colCap []int, out []int) error {
+	nC := len(colX)
 	load := make([]int, nC)
 	for i, gr := range groups {
 		load[out[i]] += gr.size()
@@ -260,11 +278,11 @@ func interColumnFlow(groups []*group, colX []float64, colCap []int) ([]int, erro
 			}
 		}
 		if bestI < 0 {
-			return nil, fmt.Errorf("legalize: cannot repair column overflow (column %d)", over)
+			return fmt.Errorf("legalize: cannot repair column overflow (column %d)", over)
 		}
 		load[over] -= groups[bestI].size()
 		load[bestJ] += groups[bestI].size()
 		out[bestI] = bestJ
 	}
-	return out, nil
+	return nil
 }

@@ -432,6 +432,105 @@ func TestInterColumnFlowMatchesILP(t *testing.T) {
 	}
 }
 
+// TestInterColumnRepairPicksCheapestMove pins the repair step on
+// instances whose majority rounding overfills a column. Columns sit one
+// pitch apart. Hot column h holds cap[h] = c; m singles desire exactly
+// colX[h], and one group of size s, with c-m < s < 2(c-m) and s <= c,
+// desires
+// colX[h]+δ for 0 < |δ| < pitch/2. In the relaxation each unit of that
+// group costs pitch-2|δ| to move next door and a single's costs a pitch,
+// so the group keeps c-m units in h and moves s+m-c < c-m: rounding puts
+// it in h, which then holds s+m > c. A few other groups desire spots more
+// than 1.6 pitches from h. The repair must land within half a pitch of the
+// exact optimum; picking a costlier move exceeds that.
+func TestInterColumnRepairPicksCheapestMove(t *testing.T) {
+	const pitch = 4.0
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nC := 3 + rng.Intn(3)
+		colX := make([]float64, nC)
+		colCap := make([]int, nC)
+		for j := range colX {
+			colX[j] = pitch * float64(j)
+			colCap[j] = 4 + rng.Intn(3)
+		}
+		h := rng.Intn(nC)
+		c := colCap[h]
+		m := 1 + rng.Intn(c-2)
+		hiS := min(c, 2*(c-m)-1)
+		s := c - m + 1 + rng.Intn(hiS-(c-m))
+		delta := (0.2 + 1.6*rng.Float64()) * (1 - 2*float64(rng.Intn(2)))
+		if h == 0 {
+			delta = math.Abs(delta)
+		} else if h == nC-1 {
+			delta = -math.Abs(delta)
+		}
+		var gs []*group
+		add := func(size int, x float64) {
+			g := &group{desiredX: x}
+			for k := 0; k < size; k++ {
+				g.cells = append(g.cells, len(gs)*10+k)
+				g.desiredRows = append(g.desiredRows, 0)
+			}
+			gs = append(gs, g)
+		}
+		// The big group goes anywhere in the order, the singles around it.
+		big := rng.Intn(m + 1)
+		for k := 0; k <= m; k++ {
+			if k == big {
+				add(s, colX[h]+delta)
+			} else {
+				add(1, colX[h])
+			}
+		}
+		for k := rng.Intn(3); k > 0; k-- {
+			if x := rng.Float64() * colX[nC-1]; math.Abs(x-colX[h]) > 1.6*pitch {
+				add(1+rng.Intn(2), x)
+			}
+		}
+
+		rounded, err := majorityFlow(gs, colX, colCap)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		load := make([]int, nC)
+		for i, g := range gs {
+			load[rounded[i]] += g.size()
+		}
+		if rounded[big] != h || load[h] <= c {
+			t.Fatalf("seed %d: rounding %v leaves column %d at %d of %d; the instance misses the repair",
+				seed, rounded, h, load[h], c)
+		}
+
+		exact, ok := bruteInter(gs, colX, colCap)
+		got, err := interColumnFlow(gs, colX, colCap)
+		if !ok || err != nil {
+			for i, g := range gs {
+				t.Logf("group %d size %d x %v rounded %d", i, g.size(), g.desiredX, rounded[i])
+			}
+			t.Logf("caps %v exact %v", colCap, exact)
+			t.Fatalf("seed %d: exact ok=%v, flow err=%v", seed, ok, err)
+		}
+		ce, cg := 0.0, 0.0
+		for j := range load {
+			load[j] = 0
+		}
+		for i, g := range gs {
+			ce += dcost(g, colX[exact[i]])
+			cg += dcost(g, colX[got[i]])
+			load[got[i]] += g.size()
+		}
+		for j := range load {
+			if load[j] > colCap[j] {
+				t.Fatalf("seed %d: column %d holds %d > %d after repair", seed, j, load[j], colCap[j])
+			}
+		}
+		if cg > ce+pitch/2+1e-9 {
+			t.Fatalf("seed %d: repaired cost %v, exact %v: more than half a pitch above", seed, cg, ce)
+		}
+	}
+}
+
 func capSum(caps []int) int {
 	s := 0
 	for _, c := range caps {

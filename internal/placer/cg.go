@@ -4,33 +4,38 @@ import "math"
 
 // Sparse symmetric positive-definite solver behind the cold-start
 // wirelength seed (solveQuadratic): Jacobi-preconditioned conjugate
-// gradient over an adjacency-list matrix representation.
+// gradient over a CSR matrix representation.
 
-// spdMatrix is a symmetric matrix stored as diagonal + off-diagonal
-// adjacency lists; only the entries touching movable variables exist.
+// spdMatrix is a symmetric matrix stored as its diagonal plus its
+// off-diagonal entries in one flat CSR; only the entries touching movable
+// variables exist. addConnection records each stamp; the first solveCG
+// counts the stamps per row and fills the rows, each in stamp order, so
+// every row of mulVec sums its terms in the order they were stamped.
 type spdMatrix struct {
-	diag []float64
-	cols [][]int32
-	vals [][]float64
+	diag   []float64
+	stamps []offDiag // recorded connections, laid out by compile
+	rowPtr []int
+	cols   []int32
+	vals   []float64
+}
+
+// offDiag is one recorded connection: entry v at (i, j) and at (j, i).
+type offDiag struct {
+	i, j int32
+	v    float64
 }
 
 func newSPD(n int) *spdMatrix {
-	return &spdMatrix{
-		diag: make([]float64, n),
-		cols: make([][]int32, n),
-		vals: make([][]float64, n),
-	}
+	return &spdMatrix{diag: make([]float64, n)}
 }
 
 // addConnection adds weight w between variables i and j (both movable):
 // +w to both diagonals, −w off-diagonal, the standard quadratic net stamp.
+// Connections must be added before solveCG runs.
 func (m *spdMatrix) addConnection(i, j int, w float64) {
 	m.diag[i] += w
 	m.diag[j] += w
-	m.cols[i] = append(m.cols[i], int32(j))
-	m.vals[i] = append(m.vals[i], -w)
-	m.cols[j] = append(m.cols[j], int32(i))
-	m.vals[j] = append(m.vals[j], -w)
+	m.stamps = append(m.stamps, offDiag{i: int32(i), j: int32(j), v: -w})
 }
 
 // addAnchor attaches variable i to a fixed coordinate with weight w; the
@@ -40,13 +45,37 @@ func (m *spdMatrix) addAnchor(i int, w float64, rhs []float64, fixedCoord float6
 	rhs[i] += w * fixedCoord
 }
 
+// compile lays the recorded stamps out as CSR rows: a stamp (i, j) appends
+// j to row i, then i to row j, as per-row appends in stamp order would.
+func (m *spdMatrix) compile() {
+	n := len(m.diag)
+	m.rowPtr = make([]int, n+1)
+	for _, s := range m.stamps {
+		m.rowPtr[s.i+1]++
+		m.rowPtr[s.j+1]++
+	}
+	for i := 0; i < n; i++ {
+		m.rowPtr[i+1] += m.rowPtr[i]
+	}
+	m.cols = make([]int32, m.rowPtr[n])
+	m.vals = make([]float64, m.rowPtr[n])
+	next := append([]int(nil), m.rowPtr[:n]...)
+	for _, s := range m.stamps {
+		m.cols[next[s.i]], m.vals[next[s.i]] = s.j, s.v
+		next[s.i]++
+		m.cols[next[s.j]], m.vals[next[s.j]] = s.i, s.v
+		next[s.j]++
+	}
+	m.stamps = nil
+}
+
 // mulVec computes y = M·x.
 func (m *spdMatrix) mulVec(x, y []float64) {
 	for i := range y {
 		s := m.diag[i] * x[i]
-		cols := m.cols[i]
-		vals := m.vals[i]
-		for k, j := range cols {
+		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+		vals := m.vals[lo:hi]
+		for k, j := range m.cols[lo:hi] {
 			s += vals[k] * x[j]
 		}
 		y[i] = s
@@ -64,6 +93,9 @@ func (m *spdMatrix) mulVec(x, y []float64) {
 // the solver restores the best (lowest finite residual) iterate seen and
 // bails, so callers never receive poisoned coordinates.
 func (m *spdMatrix) solveCG(b, x []float64, maxIter int, relTol float64) {
+	if m.rowPtr == nil {
+		m.compile()
+	}
 	n := len(b)
 	r := make([]float64, n)
 	z := make([]float64, n)

@@ -282,6 +282,16 @@ func solveQuadratic(nl *netlist.Netlist, pos []geom.Point, movable []bool, cgIte
 	if nm == 0 {
 		return
 	}
+	// On one axis a two-pin net stamps one connection, a larger net at most
+	// two per pin other than its lower bound.
+	maxStamps := 0
+	for _, net := range nl.Nets {
+		if k := len(net.Sinks); k == 1 {
+			maxStamps++
+		} else {
+			maxStamps += 2 * k
+		}
+	}
 
 	var sol [2][]float64
 	par.ForEach(2, func(axis int) {
@@ -292,6 +302,7 @@ func solveQuadratic(nl *netlist.Netlist, pos []geom.Point, movable []bool, cgIte
 			return pos[i].Y
 		}
 		m := newSPD(nm)
+		m.stamps = make([]offDiag, 0, maxStamps)
 		rhs := make([]float64, nm)
 		x := make([]float64, nm)
 		for i := 0; i < n; i++ {
@@ -314,21 +325,21 @@ func solveQuadratic(nl *netlist.Netlist, pos []geom.Point, movable []bool, cgIte
 			}
 		}
 		for _, net := range nl.Nets {
-			pins := net.Pins()
-			k := len(pins)
+			// The pins are net.Driver, then net.Sinks, read in place.
+			k := 1 + len(net.Sinks)
 			if k < 2 {
 				continue
 			}
 			w := net.Weight
 			if k == 2 {
-				stamp(pins[0], pins[1], w)
+				stamp(net.Driver, net.Sinks[0], w)
 				continue
 			}
 			// Bound-to-bound: find min/max pins on this axis and connect
 			// every pin to both bounds (and the bounds to each other) with
 			// the B2B weights.
-			lo, hi := pins[0], pins[0]
-			for _, p := range pins[1:] {
+			lo, hi := net.Driver, net.Driver
+			for _, p := range net.Sinks {
 				if coord(p) < coord(lo) {
 					lo = p
 				}
@@ -347,12 +358,16 @@ func solveQuadratic(nl *netlist.Netlist, pos []geom.Point, movable []bool, cgIte
 			if lo != hi {
 				stamp(lo, hi, b2bw(lo, hi))
 			}
-			for _, p := range pins {
+			toBounds := func(p int) {
 				if p == lo || p == hi {
-					continue
+					return
 				}
 				stamp(p, lo, b2bw(p, lo))
 				stamp(p, hi, b2bw(p, hi))
+			}
+			toBounds(net.Driver)
+			for _, p := range net.Sinks {
+				toBounds(p)
 			}
 		}
 		m.solveCG(rhs, x, cgIters, 1e-4)
