@@ -10,7 +10,7 @@ test:
 # CI-style check: formatting gate, vet, the full test suite under the race
 # detector — the parallel hot paths (internal/par users) and the dsplacerd
 # service must stay race-free — plus a single-iteration pass over every
-# benchmark so bench-only code (bench harnesses, solver warm-start paths)
+# benchmark so bench-only code (bench harnesses, instance generators)
 # cannot bit-rot unnoticed, a short run of every native fuzz target over
 # its seed corpus, a golden-QoR smoke on the smallest registered device,
 # an end-to-end smoke of the placement service, and the benchmark module

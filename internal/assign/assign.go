@@ -53,9 +53,9 @@ type Problem struct {
 	// the objective; stopping early keeps the Fig. 8 runtime profile in
 	// line with the paper's fast C++ MCF.
 	ConvergedFrac float64
-	// Stages receives the solve's phase timings (assign.solve, candidates,
-	// costUpdate, flow, and the mcmf.* phases underneath); nil records
-	// nothing.
+	// Stages receives the solve's phase timings (assign.solve,
+	// assign.candidates, assign.flow) and its assign.iterations count; nil
+	// records nothing.
 	Stages *stage.Recorder
 }
 
@@ -63,7 +63,8 @@ type Problem struct {
 type IterStats struct {
 	// Iter is 1-based.
 	Iter int `json:"iter"`
-	// Objective is the linearized min-cost-flow objective of the iterate.
+	// Objective is the linearized min-cost-flow objective of the iterate:
+	// the chosen arcs' costs summed over the DSPs in index order.
 	Objective float64 `json:"objective"`
 	// MovedFrac is the fraction of DSPs whose site changed this iterate.
 	MovedFrac float64 `json:"moved_frac"`
@@ -82,7 +83,7 @@ type Result struct {
 	// before the budget.
 	Iterations int
 	Converged  bool
-	// Cost is the final linearized flow cost (diagnostic only).
+	// Cost is the final iterate's Objective (diagnostic only).
 	Cost float64
 	// StopReason says why the loop ended: "converged" (fixed point or
 	// 2-cycle) or "budget" (iteration cap hit).
@@ -265,18 +266,17 @@ func Solve(ctx context.Context, p *Problem) (*Result, error) {
 	res := &Result{SiteOf: make(map[int]int, N)}
 	var prevPrev []int // assignment two iterations ago, for 2-cycle detection
 
-	// The bipartite flow network is built once and kept alive across the
-	// linearize-and-solve iterations: each iterate only rewrites arc costs
-	// (and disables/adds candidate arcs as the candidate sets drift).
-	fn := newFlowNet(N, M)
-	fn.solver.Stages = p.Stages
+	// One assignment solver serves every iterate. Only its scratch storage
+	// carries over: each iterate solves from an empty matching with zero
+	// prices.
+	var asg mcmf.Assigner
 
 	for iter := 1; iter <= p.Iterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("assign: canceled before iteration %d: %w", iter, err)
 		}
 		updateCascTargets()
-		assignment, cost, err := solveOnce(p, fn, sidx, locs, cosOf,
+		assignment, cost, err := solveOnce(p, &asg, sidx, locs, cosOf,
 			nbrs, lambdaCoeff, prevPos, cascTarget, idx, iter)
 		if err != nil {
 			return nil, err
@@ -322,108 +322,18 @@ func Solve(ctx context.Context, p *Problem) (*Result, error) {
 	return res, nil
 }
 
-// dspArc is one DSP→site candidate arc kept alive inside a flowNet.
-type dspArc struct {
-	site  int32
-	epoch int32 // last update() pass this arc was a candidate in
-	id    mcmf.ArcID
-}
-
-// flowNet keeps the bipartite min-cost-flow network of Eq. 8–9 alive
-// across the linearize-and-solve iterations. Nodes are fixed for the whole
-// solve (0 = source, 1..N = DSPs, N+1..N+M = sites, N+M+1 = sink); the
-// source→DSP arcs are added once, a DSP→site arc is added the first time
-// the pair appears in a candidate set and thereafter only re-costed
-// (UpdateCost) or capacity-toggled (SetCap 1/0) as the candidate sets
-// drift between iterations, and a site→sink arc is added at a site's
-// first-ever use. The solver compiles only the enabled arcs, so the
-// Reset after a drift recompiles its CSR in place; it allocates only when
-// the staged arc set outgrows its arrays. Searches stop at the sink
-// (mcmf.Solver.StopAtSink): that can change a path only at an exact cost
-// tie, and the continuous costs here do not tie.
-//
-// This replaces the historical per-iteration rebuild (fresh mcmf graph,
-// `arcs` slice and `usedSite` map every solveOnce call): the per-DSP arc
-// lists double as the arc↔(dsp,site) directory the extraction step needs,
-// and sinkArc is the []bool-style used-site registry indexed by site id.
-type flowNet struct {
-	solver *mcmf.Solver
-	N, M   int
-	src    int
-	sink   int
-	epoch  int32
-	arcAt  []int32      // (i*M+j) → index into arcs[i], -1 when absent
-	arcs   [][]dspArc   // per DSP, in first-insertion order
-	sinkAt []mcmf.ArcID // site j → site→sink arc, -1 when absent
-}
-
-func newFlowNet(n, m int) *flowNet {
-	fn := &flowNet{
-		solver: mcmf.NewSolver(n + m + 2),
-		N:      n, M: m,
-		src: 0, sink: n + m + 1,
-		arcAt:  make([]int32, n*m),
-		arcs:   make([][]dspArc, n),
-		sinkAt: make([]mcmf.ArcID, m),
-	}
-	fn.solver.StopAtSink = true
-	for i := range fn.arcAt {
-		fn.arcAt[i] = -1
-	}
-	for j := range fn.sinkAt {
-		fn.sinkAt[j] = -1
-	}
-	for i := 0; i < n; i++ {
-		fn.solver.AddEdge(fn.src, 1+i, 1, 0)
-	}
-	return fn
-}
-
-// update makes the live arc set match this iteration's candidate sets:
-// costs rewritten for retained pairs, new pairs added, stale pairs
-// disabled via zero capacity (the solver leaves them out of the compiled
-// network, so the solve is identical to one over the candidate arcs
-// alone).
-func (fn *flowNet) update(cands [][]int, costs [][]float64) {
-	fn.epoch++
-	for i := range cands {
-		row := fn.arcAt[i*fn.M : (i+1)*fn.M]
-		for x, j := range cands[i] {
-			if a := row[j]; a >= 0 {
-				rec := &fn.arcs[i][a]
-				rec.epoch = fn.epoch
-				fn.solver.UpdateCost(rec.id, costs[i][x])
-				fn.solver.SetCap(rec.id, 1)
-				continue
-			}
-			id := fn.solver.AddEdge(1+i, 1+fn.N+j, 1, costs[i][x])
-			row[j] = int32(len(fn.arcs[i]))
-			fn.arcs[i] = append(fn.arcs[i], dspArc{site: int32(j), epoch: fn.epoch, id: id})
-			if fn.sinkAt[j] < 0 {
-				fn.sinkAt[j] = fn.solver.AddEdge(1+fn.N+j, fn.sink, 1, 0)
-			}
-		}
-	}
-	for i := range fn.arcs {
-		for k := range fn.arcs[i] {
-			if rec := &fn.arcs[i][k]; rec.epoch != fn.epoch {
-				fn.solver.SetCap(rec.id, 0)
-			}
-		}
-	}
-}
-
-// solveOnce solves one linearized min-cost-flow assignment over the live
-// network. The per-cell candidate selection and cost rows are computed in
-// parallel (each cell's row depends only on that cell), then the network
-// update and the flow solve run serially in cell order, so the result is
-// independent of the worker count.
-func solveOnce(p *Problem, fn *flowNet, sidx *siteIndex, locs []geom.Point, cosOf []float64,
+// solveOnce solves one linearized assignment (Eq. 8–9) exactly over the
+// DSPs' candidate sites. The per-cell candidate selection and cost rows
+// are computed in parallel (each cell's row depends only on that cell),
+// then the assignment is solved serially in cell order, so the result is
+// independent of the worker count. When the candidate arcs admit no
+// perfect assignment, the candidate count doubles, up to every site.
+func solveOnce(p *Problem, asg *mcmf.Assigner, sidx *siteIndex, locs []geom.Point, cosOf []float64,
 	nbrs [][]neighbor, lambdaCoeff []float64, prevPos []geom.Point,
 	cascTarget []*geom.Point, idx map[int]int, iter int) ([]int, float64, error) {
 
-	N := fn.N
-	M := fn.M
+	N := len(p.DSPs)
+	M := len(locs)
 
 	for kCand := p.Candidates; ; kCand *= 2 {
 		if kCand > M {
@@ -440,36 +350,14 @@ func solveOnce(p *Problem, fn *flowNet, sidx *siteIndex, locs []geom.Point, cosO
 			return row
 		})
 		stopCand()
-		stopUpd := p.Stages.Start("assign.costUpdate")
-		fn.update(cands, costs)
-		stopUpd()
 		stopFlow := p.Stages.Start("assign.flow")
-		fn.solver.Reset()
-		flow, cost := fn.solver.Solve(fn.src, fn.sink, int64(N))
+		assignment, cost, ok := asg.Solve(M, cands, costs)
 		stopFlow()
-		if flow == int64(N) {
-			assignment := make([]int, N)
-			for i := range assignment {
-				assignment[i] = -1
-			}
-			for i := range fn.arcs {
-				// Disabled arcs cannot carry flow, so scanning the full
-				// per-DSP list is safe.
-				for _, rec := range fn.arcs[i] {
-					if fn.solver.Flow(rec.id) == 1 {
-						assignment[i] = int(rec.site)
-					}
-				}
-			}
-			for i, j := range assignment {
-				if j < 0 {
-					return nil, 0, fmt.Errorf("assign: DSP %d unassigned despite full flow", p.DSPs[i])
-				}
-			}
+		if ok {
 			return assignment, cost, nil
 		}
 		if kCand == M {
-			return nil, 0, fmt.Errorf("assign: no perfect assignment with full candidate set (flow %d < %d)", flow, N)
+			return nil, 0, fmt.Errorf("assign: no perfect assignment of %d DSPs with full candidate set", N)
 		}
 	}
 }

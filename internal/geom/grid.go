@@ -1,8 +1,9 @@
 package geom
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // GridIndex is a uniform bucket grid over a fixed point set supporting
@@ -197,11 +198,13 @@ func (g *GridIndex) scanRing(target Point, cx, cy, r int, cand *[]distIdx) bool 
 	return any
 }
 
+// sortCand orders candidates by (distance, index). Indices are unique, so
+// the order is total and any correct sort gives the same result.
 func sortCand(cand []distIdx) {
-	sort.Slice(cand, func(a, b int) bool {
-		if cand[a].d != cand[b].d {
-			return cand[a].d < cand[b].d
+	slices.SortFunc(cand, func(a, b distIdx) int {
+		if c := cmp.Compare(a.d, b.d); c != 0 {
+			return c
 		}
-		return cand[a].i < cand[b].i
+		return cmp.Compare(a.i, b.i)
 	})
 }

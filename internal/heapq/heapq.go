@@ -1,26 +1,32 @@
 // Package heapq is the repository's shared non-boxing priority queue: a
-// binary min-heap over (Dist, ID) pairs stored in one flat slice, used by
-// every Dijkstra loop (the mcmf solver's reduced-cost search, the maze
-// router's congestion search). It replaces the per-call container/heap
+// binary min-heap of (Dist, ID, Seq) items stored in one flat slice, used
+// by every Dijkstra loop (the reduced-cost searches of both mcmf solvers,
+// the maze router's congestion search). It replaces the per-call container/heap
 // queues those loops used to build, which boxed every pushed item into an
 // interface{} — one heap allocation per relaxation, the single largest
 // allocation source in the placement inner loop.
 //
 // The sift-up/sift-down algorithm and the comparison (strictly-less on
-// Dist alone, never on ID) replicate container/heap exactly, so a loop
-// ported from container/heap pops items — including equal-priority ties —
-// in the identical order and produces bit-identical results. Do not
-// "improve" the tie behaviour: augmenting-path selection in the min-cost
-// flow solver is tie-sensitive, and the determinism contract of the
-// placement pipeline (same output at any GOMAXPROCS, stable across
-// refactors) leans on this order.
+// Dist, never on ID) replicate container/heap exactly, so a loop ported
+// from container/heap pops items — including equal-priority ties — in the
+// identical order and produces bit-identical results. Do not "improve"
+// that tie behaviour: augmenting-path selection in the min-cost flow
+// solver is tie-sensitive, and the determinism contract of the placement
+// pipeline (same output at any GOMAXPROCS, stable across refactors) leans
+// on this order. A caller that wants another order among equal Dist sets
+// Item.Seq; the assignment solver numbers its pushes so that ties pop
+// first-in, first-out.
 package heapq
 
-// Item is one queue entry: a float64 priority and a caller-defined id
-// (node index, bin index, ...).
+// Item is one queue entry: a float64 priority, a caller-defined id (node
+// index, bin index, ...) and a tie-breaker.
 type Item struct {
 	Dist float64
 	ID   int32
+	// Seq orders items of equal Dist: the smaller Seq pops first. Items
+	// equal in both pop in container/heap's order, so a caller that leaves
+	// Seq at 0 gets exactly that order.
+	Seq uint32
 }
 
 // Heap is a binary min-heap of Items. The zero value is an empty heap
@@ -67,7 +73,7 @@ func (h *Heap) Pop() Item {
 func (h *Heap) up(j int) {
 	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if !(h.items[j].Dist < h.items[i].Dist) {
+		if !h.less(j, i) {
 			break
 		}
 		h.items[i], h.items[j] = h.items[j], h.items[i]
@@ -83,13 +89,19 @@ func (h *Heap) down(i0, n int) {
 			break
 		}
 		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h.items[j2].Dist < h.items[j1].Dist {
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
 			j = j2 // right child
 		}
-		if !(h.items[j].Dist < h.items[i].Dist) {
+		if !h.less(j, i) {
 			break
 		}
 		h.items[i], h.items[j] = h.items[j], h.items[i]
 		i = j
 	}
+}
+
+// less orders by Dist, then by Seq.
+func (h *Heap) less(i, j int) bool {
+	a, b := h.items[i], h.items[j]
+	return a.Dist < b.Dist || (a.Dist == b.Dist && a.Seq < b.Seq)
 }

@@ -62,6 +62,27 @@ func TestSortedDrain(t *testing.T) {
 	}
 }
 
+// TestSeqBreaksTies pushes items whose Dist values tie heavily, numbered
+// in push order, and requires them to pop by Dist and then by Seq.
+func TestSeqBreaksTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var h Heap
+	for seq := uint32(1); seq <= 500; seq++ {
+		h.Push(Item{Dist: float64(rng.Intn(5)), ID: int32(rng.Intn(100)), Seq: seq})
+		if seq%7 == 0 {
+			h.Pop()
+		}
+	}
+	prev := h.Pop()
+	for h.Len() > 0 {
+		it := h.Pop()
+		if it.Dist < prev.Dist || (it.Dist == prev.Dist && it.Seq < prev.Seq) {
+			t.Fatalf("(%v, %d) popped after (%v, %d)", it.Dist, it.Seq, prev.Dist, prev.Seq)
+		}
+		prev = it
+	}
+}
+
 // Property: under any interleaved push/pop sequence — with heavy exact-tie
 // pressure from quantized priorities — the pop stream (priority AND id)
 // matches container/heap exactly.

@@ -539,13 +539,14 @@ func capSum(caps []int) int {
 	return s
 }
 
-// TestInterColumnFlowKeepsFullSearches pins the legalizer to full
-// shortest-path searches. On this instance group 1 (x=3) costs |Δx| = 1 in
-// both column x=2 and column x=4, so the optimal split depends on how the
-// searches break the tie: full searches send it right, sink-settled ones
-// left, and majority rounding carries the difference into the placement.
-// The golden-QoR envelopes stay green either way, so only this test
-// notices a legalizer switched to mcmf.Solver.StopAtSink.
+// TestInterColumnFlowKeepsFullSearches pins the legalizer's tie-breaking.
+// On this instance group 1 (x=3) costs |Δx| = 1 in both column x=2 and
+// column x=4, so the optimal split depends on how the shortest-path
+// searches break the tie: full searches from the source send it right,
+// and majority rounding carries that into the placement. Searches that
+// stop once the sink settles send it left. The golden-QoR envelopes stay
+// green either way, so only this test notices a change to the legalizer's
+// searches.
 func TestInterColumnFlowKeepsFullSearches(t *testing.T) {
 	colX := []float64{0, 2, 4}
 	colCap := []int{3, 3, 2}
@@ -553,35 +554,27 @@ func TestInterColumnFlowKeepsFullSearches(t *testing.T) {
 		{cells: []int{0}, desiredX: 2, desiredRows: []float64{0}},
 		{cells: []int{1}, desiredX: 3, desiredRows: []float64{0}},
 	}
-	split := func(stopAtSink bool) []int64 {
-		g := mcmf.NewSolver(len(groups) + len(colX) + 2)
-		g.StopAtSink = stopAtSink
-		sink := len(groups) + len(colX) + 1
-		var refs []mcmf.ArcID
-		for i, gr := range groups {
-			g.AddEdge(0, 1+i, int64(gr.size()), 0)
-			for j, x := range colX {
-				refs = append(refs, g.AddEdge(1+i, 1+len(groups)+j, int64(gr.size()), math.Abs(gr.desiredX-x)))
-			}
+	g := mcmf.NewSolver(len(groups) + len(colX) + 2)
+	sink := len(groups) + len(colX) + 1
+	var refs []mcmf.ArcID
+	for i, gr := range groups {
+		g.AddEdge(0, 1+i, int64(gr.size()), 0)
+		for j, x := range colX {
+			refs = append(refs, g.AddEdge(1+i, 1+len(groups)+j, int64(gr.size()), math.Abs(gr.desiredX-x)))
 		}
-		for j, c := range colCap {
-			g.AddEdge(1+len(groups)+j, sink, int64(c), 0)
-		}
-		if f, _ := g.Solve(0, sink, int64(len(groups))); f != int64(len(groups)) {
-			t.Fatalf("stopAtSink=%v: flow %d", stopAtSink, f)
-		}
-		flows := make([]int64, len(refs))
-		for x, r := range refs {
-			flows[x] = g.Flow(r)
-		}
-		return flows
 	}
-	full, settled := split(false), split(true)
+	for j, c := range colCap {
+		g.AddEdge(1+len(groups)+j, sink, int64(c), 0)
+	}
+	if f, _ := g.Solve(0, sink, int64(len(groups))); f != int64(len(groups)) {
+		t.Fatalf("flow %d", f)
+	}
+	full := make([]int64, len(refs))
+	for x, r := range refs {
+		full[x] = g.Flow(r)
+	}
 	if want := []int64{0, 1, 0, 0, 0, 1}; !reflect.DeepEqual(full, want) {
 		t.Fatalf("full-search flows %v, want %v", full, want)
-	}
-	if want := []int64{0, 1, 0, 0, 1, 0}; !reflect.DeepEqual(settled, want) {
-		t.Fatalf("sink-settled flows %v, want %v", settled, want)
 	}
 	got, err := interColumnFlow(groups, colX, colCap)
 	if err != nil {

@@ -7,10 +7,9 @@ import (
 )
 
 // benchInstance builds a reproducible assignment-shaped transportation
-// instance (n DSPs × m sites, k candidate arcs per DSP) mirroring the
-// bipartite networks assign.solveOnce assembles: source 0, DSPs 1..n,
-// sites n+1..n+m, sink n+m+1, unit capacities, λ-scaled quadratic costs,
-// searches that stop at the sink.
+// instance (n DSPs × m sites, k candidate arcs per DSP): as a flow network,
+// source 0, DSPs 1..n, sites n+1..n+m, sink n+m+1, unit capacities,
+// λ-scaled quadratic costs.
 type benchArc struct {
 	dsp, site int
 	cost      float64
@@ -33,7 +32,6 @@ func benchInstance(n, m, k int, seed int64) []benchArc {
 
 func buildBench(n, m int, arcs []benchArc) (*Solver, []ArcID) {
 	g := NewSolver(n + m + 2)
-	g.StopAtSink = true
 	src, sink := 0, n+m+1
 	siteUsed := make([]bool, m)
 	for i := 0; i < n; i++ {
@@ -50,10 +48,9 @@ func buildBench(n, m int, arcs []benchArc) (*Solver, []ArcID) {
 	return g, refs
 }
 
-// BenchmarkMinCostFlow measures one cold bipartite assignment solve at a
-// size representative of a mini-benchmark iteration (240 DSPs, 630 sites,
-// 24 candidates each): network build + CSR compile + solve, as the first
-// placement iteration pays it.
+// BenchmarkMinCostFlow measures one general min-cost-flow solve of a
+// bipartite assignment network (240 DSPs, 630 sites, 24 candidates each):
+// network build, compile and full successive-shortest-path searches.
 func BenchmarkMinCostFlow(b *testing.B) {
 	const n, m, k = 240, 630, 24
 	arcs := benchInstance(n, m, k, 1)
@@ -68,119 +65,44 @@ func BenchmarkMinCostFlow(b *testing.B) {
 	}
 }
 
-// BenchmarkMinCostFlowWarm measures the steady-state placement iteration:
-// the network is kept alive, every candidate-arc cost is rewritten, the
-// flow state is Reset, and the same compiled CSR is solved again — the
-// path iterations 2..50 of assign.Solve take.
-func BenchmarkMinCostFlowWarm(b *testing.B) {
-	const n, m, k = 240, 630, 24
-	arcs := benchInstance(n, m, k, 1)
-	g, refs := buildBench(n, m, arcs)
-	if flow, _ := g.Solve(0, n+m+1, int64(n)); flow != int64(n) {
-		b.Fatal("warmup solve incomplete")
-	}
-	perturb := benchInstance(n, m, k, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for it := 0; it < b.N; it++ {
-		for x, r := range refs {
-			g.UpdateCost(r, perturb[x].cost+float64(it&1))
-		}
-		g.Reset()
-		flow, cost := g.Solve(0, n+m+1, int64(n))
-		if flow != int64(n) || math.IsNaN(cost) {
-			b.Fatalf("flow=%d cost=%v", flow, cost)
+// denseInstance builds an assignment instance the size of a dsp-dense
+// linearization iterate: n DSPs on m sites, sites evenly spaced along a
+// line, DSPs crowded around a few centres so that they compete for sites.
+// Each DSP's candidates are the k consecutive sites around its target, in
+// site order, with a squared-distance cost plus noise (no exact ties).
+func denseInstance(n, m, k int, seed int64) (cols [][]int, costs [][]float64) {
+	rng := rand.New(rand.NewSource(seed))
+	centres := []float64{0.2, 0.45, 0.8}
+	cols = make([][]int, n)
+	costs = make([][]float64, n)
+	for i := range cols {
+		c := centres[rng.Intn(len(centres))]
+		t := (c + 0.05*rng.NormFloat64()) * float64(m)
+		t = math.Min(math.Max(t, 0), float64(m-1))
+		lo := int(t) - k/2
+		lo = min(max(lo, 0), m-k)
+		for j := lo; j < lo+k; j++ {
+			d := float64(j) - t
+			cols[i] = append(cols[i], j)
+			costs[i] = append(costs[i], 100*d*d+rng.Float64())
 		}
 	}
+	return cols, costs
 }
 
-// BenchmarkMinCostFlowDrift measures the steady state of assign's flowNet,
-// where the candidate sets drift between iterates: each round swaps 15% of
-// the candidate arcs for disabled ones of the same DSP, stages a few arcs
-// never seen before, rewrites every candidate cost, then Resets and solves.
-// Each DSP draws on a pool of 32 sites, 28 staged at the start with 24 of
-// them candidates. A round allocates only when its added arcs outgrow the
-// staged arrays, which grow geometrically, so it reports 0 allocs/op.
-func BenchmarkMinCostFlowDrift(b *testing.B) {
-	const n, m, k, pool = 240, 630, 24, 32
-	const swaps, adds = n * k * 15 / 100, 4
-	arcs := benchInstance(n, m, pool, 1)
-	src, sink := 0, n+m+1
-	g := NewSolver(n + m + 2)
-	g.StopAtSink = true
-	ids := make([]ArcID, len(arcs)) // pool index i*pool+x → handle
-	on := make([]bool, len(arcs))
-	staged := make([]int, n) // pool slots 0..staged[i]-1 are staged
-	siteUsed := make([]bool, m)
-	stage := func(x int, enabled bool) {
-		a := arcs[x]
-		cp := int64(0)
-		if enabled {
-			cp = 1
-		}
-		ids[x] = g.AddEdge(1+a.dsp, 1+n+a.site, cp, a.cost)
-		on[x] = enabled
-		if !siteUsed[a.site] {
-			siteUsed[a.site] = true
-			g.AddEdge(1+n+a.site, sink, 1, 0)
-		}
-	}
-	for i := 0; i < n; i++ {
-		g.AddEdge(src, 1+i, 1, 0)
-		for x := 0; x < k+4; x++ {
-			stage(i*pool+x, x < k)
-		}
-		staged[i] = k + 4
-	}
-	rng := rand.New(rand.NewSource(3))
-	pick := func(i int, state bool) int { // a staged slot of DSP i in state
-		for {
-			if x := i*pool + rng.Intn(staged[i]); on[x] == state {
-				return x
-			}
-		}
-	}
-	jitter := make([]float64, len(arcs)+1)
-	for x := range jitter {
-		jitter[x] = rng.Float64()
-	}
-	nextAdd := 0
-	round := func(r int) {
-		for s := 0; s < swaps; s++ {
-			i := rng.Intn(n)
-			on[pick(i, true)] = false
-			on[pick(i, false)] = true
-		}
-		for a := 0; a < adds; a++ {
-			i := nextAdd % n
-			nextAdd++
-			if staged[i] < pool {
-				on[pick(i, true)] = false
-				stage(i*pool+staged[i], true)
-				staged[i]++
-			}
-		}
-		for i := 0; i < n; i++ {
-			for x := i * pool; x < i*pool+staged[i]; x++ {
-				if !on[x] {
-					g.SetCap(ids[x], 0)
-					continue
-				}
-				g.UpdateCost(ids[x], arcs[x].cost+jitter[(x+r)%len(jitter)])
-				g.SetCap(ids[x], 1)
-			}
-		}
-		g.Reset()
-		if flow, cost := g.Solve(src, sink, n); flow != n || math.IsNaN(cost) {
-			b.Fatalf("flow=%d cost=%v", flow, cost)
-		}
-	}
-	for r := 0; r < 3; r++ { // size the compiled arrays
-		round(r)
-	}
+// BenchmarkAssigner measures one Assigner.Solve at dsp-dense size (320
+// DSPs, 1728 sites, 32 candidates each), the solve every assign iterate
+// runs. The Assigner is reused across iterations, as assign.Solve reuses
+// it across iterates.
+func BenchmarkAssigner(b *testing.B) {
+	const n, m, k = 320, 1728, 32
+	cols, costs := denseInstance(n, m, k, 1)
+	var a Assigner
 	b.ReportAllocs()
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
-		round(3 + it)
+		if _, cost, ok := a.Solve(m, cols, costs); !ok || math.IsNaN(cost) {
+			b.Fatalf("ok=%v cost=%v", ok, cost)
+		}
 	}
 }

@@ -3,7 +3,8 @@ package mcmf
 // This file carries the O(n³) Hungarian (Kuhn–Munkres) algorithm for the
 // rectangular assignment problem: an exact, flow-free solver that serves as
 // the equivalence oracle for the min-cost-flow solver
-// (TestEquivalenceVsHungarian), together with its own tests.
+// (TestEquivalenceVsHungarian) and for the sparse Assigner on dense
+// instances (TestAssignerMatchesFlow), together with its own tests.
 
 import (
 	"fmt"

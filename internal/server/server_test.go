@@ -290,6 +290,45 @@ func TestAssignTelemetryTwoRounds(t *testing.T) {
 	}
 }
 
+// TestSameRequestSameBytes places one rounds=2 request on two fresh
+// servers, so that neither run is a cache hit, and requires the two result
+// documents to be byte-identical once their timing fields are zeroed:
+// WNS, HPWL and every assign_trace row's objective included.
+func TestSameRequestSameBytes(t *testing.T) {
+	req := map[string]any{
+		"netlist": json.RawMessage(smallNetlistJSON(t, 91)),
+		"rounds":  2,
+		"seed":    1,
+	}
+	var docs [2][]byte
+	for k := range docs {
+		env := startServer(t, Config{})
+		id, status := env.submit(t, req)
+		if status != http.StatusAccepted {
+			t.Fatalf("server %d: submit status %d", k, status)
+		}
+		doc := env.pollUntil(t, id, terminal)
+		if doc.State != "done" || doc.Result.Cached {
+			t.Fatalf("server %d: %s (%s), cached=%v", k, doc.State, doc.Error, doc.Result != nil && doc.Result.Cached)
+		}
+		if len(doc.Result.AssignTrace) == 0 {
+			t.Fatalf("server %d: empty assign_trace", k)
+		}
+		doc.Result.RuntimeS = 0
+		for name := range doc.Result.StagesS {
+			doc.Result.StagesS[name] = 0
+		}
+		b, err := json.Marshal(doc.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[k] = b
+	}
+	if !bytes.Equal(docs[0], docs[1]) {
+		t.Fatalf("same request, different result documents:\n%s\n%s", docs[0], docs[1])
+	}
+}
+
 func TestDrainOnShutdown(t *testing.T) {
 	s := New(Config{Jobs: jobs.Config{Workers: 2, QueueDepth: 8}})
 	ts := httptest.NewServer(s.Handler())
